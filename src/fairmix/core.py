@@ -16,6 +16,7 @@ reports is therefore a certificate that can be re-verified by hand.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -359,10 +360,12 @@ def epsilon_inefficiency(
 ) -> Fraction:
     """Smallest ``eps`` (within ``tol``) with ``U <= eps * U'`` for feasible ``U'``.
 
-    Found by bisection on ``eps`` with an LP feasibility test at each step:
-    does some mixture ``z'`` give every agent at least ``U_i / eps``?
-    An efficient profile returns 1 (within ``tol``); smaller values mean the
-    profile is further inside the feasible set.
+    One LP gives the exact optimum: the largest ``t`` such that some mixture
+    ``z'`` gives every agent at least ``t * U_i``; then ``eps* = 1/t*``.  The
+    result is ``eps*`` rounded up to the dyadic grid of step ``2^-k``, where
+    ``k >= 0`` is the smallest integer with ``2^-k <= tol`` (the value a
+    bisection on that grid would return).  An efficient profile returns 1;
+    smaller values mean the profile is further inside the feasible set.
     """
     if U.n != P.n:
         raise ValueError("utility profile size differs from agent count")
@@ -372,27 +375,20 @@ def epsilon_inefficiency(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    def feasible(eps: Fraction) -> bool:
-        constraints = [
-            (tuple(Fraction(P.u[i][a]) for a in range(P.m)), lp.GE, U[i] / eps)
-            for i in range(P.n)
-        ]
-        constraints.append(((Fraction(1),) * P.m, lp.EQ, Fraction(1)))
-        prog = lp.LinearProgram(
-            objective=(Fraction(0),) * P.m, constraints=tuple(constraints)
-        )
-        return lp.solve_lp(prog).status == "optimal"
-
-    if not feasible(Fraction(1)):
+    # variables z'_0..z'_{m-1}, t: maximize t s.t. u_i . z' - t * U_i >= 0
+    constraints = [
+        (tuple(Fraction(P.u[i][a]) for a in range(P.m)) + (-U[i],), lp.GE, Fraction(0))
+        for i in range(P.n)
+    ]
+    constraints.append(((Fraction(1),) * P.m + (Fraction(0),), lp.EQ, Fraction(1)))
+    prog = lp.LinearProgram(
+        objective=(Fraction(0),) * P.m + (Fraction(1),), constraints=tuple(constraints)
+    )
+    t = lp.solve_lp(prog).value
+    if t < 1:
         raise ValueError("utility profile is not feasible for this problem")
-    lo, hi = Fraction(0), Fraction(1)  # feasible at hi, infeasible at lo
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if mid == 0 or not feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    grid = 2 ** (math.ceil(1 / tol) - 1).bit_length()  # 2^k, the least >= 1/tol
+    return Fraction(math.ceil(grid / t), grid)
 
 
 def interval_structure(P: Problem) -> Optional[tuple]:

@@ -2,7 +2,7 @@
 
 A small dense two-phase primal simplex solver over exact rationals.  It is
 the single optimization backend for the efficiency checks, the egalitarian
-rule, the core-fair-share checker, and the epsilon-inefficiency bisection.
+rule, the core-fair-share checker, and the epsilon-inefficiency LP.
 
 Everything here is exact: solutions are basic feasible solutions whose
 coordinates satisfy every constraint with exact rational arithmetic, so the

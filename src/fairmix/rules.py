@@ -2,10 +2,11 @@
 
 Each rule maps a problem to a utility profile together with one
 representative mixture realizing it.  UTIL, CUT, RP, EGAL and sigma-priority
-are exact (rational arithmetic end to end).  NMP and the h-rules maximize a
-transcendental objective, so they run a numeric fixed-point iteration and
-return a solution whose stationarity is certified afterwards by an exact
-rational KKT residual.
+are exact (rational arithmetic end to end).  NMP and the h-rules maximize
+a concave welfare sum, of log U_i or of sign(q) * U_i^q, with one numeric
+solver over outcome classes (``_WelfareSolver``: a multiplicative
+fixed-point step plus Newton refinement); NMP is its log member.  NMP's
+rounded solution is certified afterwards by an exact rational KKT residual.
 
 Representative-mixture conventions (the rules are welfarist, so many
 mixtures can realize the same utilities; these conventions make the output
@@ -61,7 +62,7 @@ __all__ = [
 
 RP_MAX_AGENTS = 10
 DEFAULT_NMP_TOL = Fraction(1, 10**9)
-_NMP_ITERATION_CAP = 10**6
+_ITERATION_CAP = 10**6
 _SNAP = 1e-13  # numeric coordinates below this are treated as exact zeros
 
 
@@ -129,7 +130,7 @@ class NmpSolution:
 @dataclass(frozen=True)
 class HRuleSolution:
     z: Mixture
-    gap: Fraction  # exact bound on the objective suboptimality scale
+    gap: Fraction  # the solver's final float stationarity residual
     iterations: int
     converged: bool
 
@@ -141,25 +142,13 @@ class HRuleSolution:
 def _typed_entries(P: Union[Problem, TypedProfile]):
     """(count, like-mask) pairs with identical agents merged, plus (n, m)."""
     if isinstance(P, TypedProfile):
-        m = P.m
-        counter = Counter()
-        order = []
-        for count, like in P.entries:
-            mask = 0
-            for a in like:
-                mask |= 1 << a
-            if mask not in counter:
-                order.append(mask)
-            counter[mask] += count
-        return [(counter[mask], mask) for mask in order], sum(counter.values()), m
+        pairs = [(count, sum(1 << a for a in like)) for count, like in P.entries]
+    else:
+        pairs = [(1, P.like_mask(i)) for i in range(P.n)]
     counter = Counter()
-    order = []
-    for i in range(P.n):
-        mask = P.like_mask(i)
-        if mask not in counter:
-            order.append(mask)
-        counter[mask] += 1
-    return [(counter[mask], mask) for mask in order], P.n, P.m
+    for count, mask in pairs:
+        counter[mask] += count
+    return [(c, mask) for mask, c in counter.items()], sum(counter.values()), P.m
 
 
 def _column_classes(P: Problem):
@@ -353,7 +342,8 @@ def egal_rule(P: Problem):
         out = lp.solve_lp(
             lp.LinearProgram(objective=objective, constraints=tuple(constraints))
         )
-        assert out.status == "optimal"
+        if out.status != "optimal":
+            raise RuntimeError(f"leximin round LP is {out.status}")
         t = out.value
         zstar = out.solution[:m]
         newly = []
@@ -376,10 +366,12 @@ def egal_rule(P: Problem):
                     ),
                 )
             )
-            assert probe.status == "optimal"
+            if probe.status != "optimal":
+                raise RuntimeError(f"leximin probe LP is {probe.status}")
             if probe.value == t:
                 newly.append(j)
-        assert newly, "leximin round must freeze at least one agent"
+        if not newly:
+            raise RuntimeError("leximin round must freeze at least one agent")
         for j in newly:
             frozen[j] = t
             unfrozen.discard(j)
@@ -553,81 +545,218 @@ def _solve_dense_float(A, b):
     return [M[r][k] / M[r][r] for r in range(k)]
 
 
-def _nmp_newton(zf, counts, members, liking, n, m):
-    """Newton refinement of the Nash stationarity system on the support.
+class _WelfareSolver:
+    """Maximize a welfare sum of c * h(U) over types, on the simplex.
 
-    Solves phi_a(z) = lambda for all supported a together with sum z = 1.
-    Coordinates driven to the boundary are dropped from the support.
-    Returns the refined full-length iterate, or None if refinement failed.
+    A subclass is the family h: per type, ``weights`` gives c*h'(U) and
+    ``curvatures`` c*h''(U); ``multiplier`` is lambda = sum_a z_a g_a, which
+    every supported gradient sum g_a equals at a stationary point;
+    ``objective`` is sum c*h(U).  Outcomes liked by the same types form one
+    class: the objective only sees a class's total weight, and merging
+    removes the Jacobian singularity duplicate outcomes would cause.
     """
-    z = list(zf)
-    support = [a for a in range(m) if z[a] > 1e-10]
-    if not support:
-        return None
-    for a in range(m):
-        if a not in support:
-            z[a] = 0.0
-    total = sum(z)
-    z = [x / total for x in z]
-    lam = float(n)
-    for _ in range(60):
-        ntypes = len(counts)
-        util = [sum(z[a] for a in members[t]) for t in range(ntypes)]
-        if min(util[t] for t in range(ntypes) if counts[t]) <= 0:
+
+    def __init__(self, P: Union[Problem, TypedProfile]):
+        entries, self.n, self.m = _typed_entries(P)
+        masks = [mask for _, mask in entries]
+        by_key: dict = {}
+        for a in range(self.m):
+            by_key.setdefault(tuple(mask >> a & 1 for mask in masks), []).append(a)
+        self.outcomes = list(by_key.values())
+        self.liking = [
+            [t for t in range(len(masks)) if masks[t] >> group[0] & 1]
+            for group in self.outcomes
+        ]
+        self.members = [
+            set(c for c, group in enumerate(self.outcomes) if mask >> group[0] & 1)
+            for mask in masks
+        ]
+        self.counts = [float(c) for c, _ in entries]
+
+    def mixture(self, zf) -> Mixture:
+        """Round class weights to a mixture, each class split uniformly."""
+        zfull = [0.0] * self.m
+        for c, group in enumerate(self.outcomes):
+            for a in group:
+                zfull[a] = zf[c] / len(group)
+        return _float_to_mixture(zfull, self.m)
+
+    def newton(self, zf):
+        """Newton refinement of the stationarity system on the support.
+
+        Solves g_a(z) = lambda for all supported a together with sum z = 1.
+        Coordinates driven to the boundary are dropped from the support.
+        Returns the refined class weights, or None if refinement failed.
+        """
+        members, liking = self.members, self.liking
+        z = [x if x > 1e-10 else 0.0 for x in zf]
+        support = [a for a in range(len(z)) if z[a] > 0.0]
+        if not support:
             return None
-        inv = [counts[t] / util[t] for t in range(ntypes)]
-        k = len(support)
-        phi = [sum(inv[t] for t in liking[a] ) for a in support]
-        # bordered system: [J  -1; 1^T 0] [dz; dlam] = [lam - phi; 1 - sum z]
-        A = [[0.0] * (k + 1) for _ in range(k + 1)]
-        rhs = [0.0] * (k + 1)
-        for i, a in enumerate(support):
-            for j, b in enumerate(support):
-                s = 0.0
-                for t in liking[a]:
-                    if b in members[t]:
-                        s -= counts[t] / (util[t] * util[t])
-                A[i][j] = s
-            A[i][k] = -1.0
-            rhs[i] = lam - phi[i]
-        for j in range(k):
-            A[k][j] = 1.0
-        rhs[k] = 1.0 - sum(z[a] for a in support)
-        step = _solve_dense_float(A, rhs)
-        if step is None:
-            # singular system (flat optimal face): regularize and retry so the
-            # step still makes progress toward some stationary point
-            for i in range(k):
-                A[i][i] -= 1e-8
+        total = sum(z)
+        z = [x / total for x in z]
+        lam = None  # the multiplier of the current iterate
+        for _ in range(60):
+            util = [sum(z[a] for a in group) for group in members]
+            if min(util) <= 0:
+                return None
+            if lam is None:
+                lam = self.multiplier(util)
+            w, curv = self.weights(util), self.curvatures(util)
+            k = len(support)
+            # bordered system: [J  -1; 1^T 0] [dz; dlam] = [lam - g; 1 - sum z]
+            A = [[0.0] * (k + 1) for _ in range(k + 1)]
+            rhs = [0.0] * (k + 1)
+            for i, a in enumerate(support):
+                for j, b in enumerate(support):
+                    A[i][j] = sum((curv[t] for t in liking[a] if b in members[t]), 0.0)
+                A[i][k] = -1.0
+                rhs[i] = lam - sum(w[t] for t in liking[a])
+            A[k] = [1.0] * k + [0.0]
+            rhs[k] = 1.0 - sum(z[a] for a in support)
             step = _solve_dense_float(A, rhs)
             if step is None:
-                return None
-        alpha = 1.0
-        for i, a in enumerate(support):
-            if step[i] < 0 and z[a] + step[i] < 0.05 * z[a]:
-                alpha = min(alpha, -0.95 * z[a] / step[i])
-        if alpha < 1e-6:
-            # a coordinate is being driven to the boundary: drop it
-            drop = min(
-                (i for i in range(k) if step[i] < 0),
-                key=lambda i: z[support[i]],
-            )
-            z[support[drop]] = 0.0
-            support.pop(drop)
-            if not support:
-                return None
-            total = sum(z)
-            z = [x / total for x in z]
-            lam = float(n)
-            continue
-        moved = 0.0
-        for i, a in enumerate(support):
-            z[a] += alpha * step[i]
-            moved = max(moved, abs(step[i]))
-        lam += alpha * step[k]
-        if moved < 1e-15:
-            break
-    return z
+                # singular system (flat optimal face): regularize and retry so
+                # the step still makes progress toward some stationary point
+                for i in range(k):
+                    A[i][i] -= 1e-8
+                step = _solve_dense_float(A, rhs)
+                if step is None:
+                    return None
+            alpha = 1.0
+            for i, a in enumerate(support):
+                if step[i] < 0 and z[a] + step[i] < 0.05 * z[a]:
+                    alpha = min(alpha, -0.95 * z[a] / step[i])
+            if alpha < 1e-6:
+                # a coordinate is being driven to the boundary: drop it
+                drop = min(
+                    (i for i in range(k) if step[i] < 0),
+                    key=lambda i: z[support[i]],
+                )
+                z[support[drop]] = 0.0
+                support.pop(drop)
+                if not support:
+                    return None
+                total = sum(z)
+                z = [x / total for x in z]
+                lam = None
+                continue
+            moved = 0.0
+            for i, a in enumerate(support):
+                z[a] += alpha * step[i]
+                moved = max(moved, abs(step[i]))
+            lam += alpha * step[k]
+            if moved < 1e-15:
+                break
+        return z
+
+    def solve(self, tol_f: float, zf=None):
+        """Run from class weights ``zf`` (default: the uniform mixture).
+
+        Multiplicative step z_c <- z_c * g_c / lambda, averaged with the
+        previous iterate whenever the objective fails to increase.  Every 25
+        iterations, once the residual is below lambda/10, Newton refinement
+        tries to polish the iterate; a wrong support guess reseeds the
+        violating classes.  The stop test is a stationarity residual of at
+        most tol/2 in units of lambda/n (1 for the log family).  Returns the
+        class weights with those at most ``_SNAP`` zeroed, the iteration
+        count, whether the stop test passed, and the last residual.
+        """
+        members, liking, n = self.members, self.liking, self.n
+        zf = zf or [len(group) / self.m for group in self.outcomes]
+
+        def util(zz):
+            return [max(sum(zz[c] for c in group), 1e-300) for group in members]
+
+        def residual(zz):
+            U = util(zz)
+            w, lam = self.weights(U), self.multiplier(U)
+            g = [sum(w[t] for t in types) for types in liking]
+            res = 0.0
+            for c, gc in enumerate(g):
+                res = max(res, abs(gc - lam) if zz[c] > _SNAP else gc - lam)
+            return res, g, lam
+
+        obj = self.objective(util(zf))
+        iterations = 0
+        converged = False
+        while iterations < _ITERATION_CAP:
+            iterations += 1
+            res, g, lam = residual(zf)
+            if res <= tol_f * 0.5 * (lam / n):
+                converged = True
+                break
+            if iterations % 25 == 0 and res < 1e-1 * lam:
+                refined = self.newton(zf)
+                if refined is not None:
+                    ref_res, ref_g, ref_lam = residual(refined)
+                    if ref_res <= tol_f * 0.5 * (ref_lam / n):
+                        zf, res, converged = refined, ref_res, True
+                        break
+                    if ref_res < res:
+                        # correct direction but not converged, or the support
+                        # must grow: reseed the violating coordinates
+                        zf = [
+                            max(x, 1e-8) if gc > ref_lam else x
+                            for x, gc in zip(refined, ref_g)
+                        ]
+                        total = sum(zf)
+                        zf = [x / total for x in zf]
+                        obj = self.objective(util(zf))
+                        continue
+            cand = [x * gc / lam for x, gc in zip(zf, g)]
+            total = sum(cand)
+            cand = [x / total for x in cand]
+            cand_obj = self.objective(util(cand))
+            if cand_obj < obj or (self.damp_on_tie and cand_obj == obj):
+                cand = [(x + y) / 2 for x, y in zip(zf, cand)]
+                cand_obj = self.objective(util(cand))
+            zf, obj = cand, cand_obj
+        zf = [0.0 if x <= _SNAP else x for x in zf]
+        total = sum(zf)
+        return [x / total for x in zf], iterations, converged, res
+
+
+class _LogWelfare(_WelfareSolver):
+    # No damping on an exact objective tie: NMP's outputs are pinned bit for
+    # bit by golden digests, and damping on ties changes some of them.
+    damp_on_tie = False
+
+    def weights(self, U):
+        return [c / u for c, u in zip(self.counts, U)]
+
+    def curvatures(self, U):
+        return [-c / (u * u) for c, u in zip(self.counts, U)]
+
+    def multiplier(self, U):
+        return self.n
+
+    def objective(self, U):
+        return sum(c * math.log(u) for c, u in zip(self.counts, U))
+
+
+class _PowerWelfare(_WelfareSolver):
+    # Damping on an exact objective tie: without it, q = -1 can cycle until
+    # the iteration cap between equal-objective class weights, such as
+    # (2/3, 1/3) and (1/5, 4/5).
+    damp_on_tie = True
+
+    def __init__(self, P: Union[Problem, TypedProfile], q: float):
+        super().__init__(P)
+        self.q, self.sign = q, (1.0 if q > 0 else -1.0)
+
+    def weights(self, U):
+        return [c * abs(self.q) * u ** (self.q - 1.0) for c, u in zip(self.counts, U)]
+
+    def curvatures(self, U):
+        q = self.q
+        return [c * abs(q) * (q - 1.0) * u ** (q - 2.0) for c, u in zip(self.counts, U)]
+
+    def multiplier(self, U):
+        return sum(c * abs(self.q) * u**self.q for c, u in zip(self.counts, U))
+
+    def objective(self, U):
+        return sum(c * self.sign * u**self.q for c, u in zip(self.counts, U))
 
 
 def nmp_rule(
@@ -635,109 +764,25 @@ def nmp_rule(
 ) -> NmpSolution:
     """Nash max product: maximize the sum of log utilities over the simplex.
 
-    Multiplicative fixed-point iteration derived from the stationarity
-    condition: z_a <- z_a * (1/n) * sum over agents liking a of 1/U_i.
-    The iteration preserves the simplex; a damping step (average with the
-    previous iterate) is applied whenever the objective fails to increase.
-    Once the iterate is close, a Newton refinement on the detected support
-    polishes it to machine precision (falling back to the multiplicative
-    loop if the support guess is wrong).  The final iterate is rounded to
-    exact rationals and certified by ``kkt_residual``.
+    The log member of the welfare solver, whose step is z_a <- z_a * (1/n)
+    * sum over agents liking a of 1/U_i.  The final iterate is rounded to
+    exact rationals and certified by ``kkt_residual``.  When the float stop
+    test passed but the exact residual exceeds ``tol`` (zeroing a tiny class
+    weight moved the utilities of small-utility types), the solver resumes
+    once from the snapped class weights.
     """
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    entries, n, m = _typed_entries(P)
-    masks = [mask for _, mask in entries]
-    counts = [float(c) for c, _ in entries]
-
-    # collapse outcomes liked by exactly the same agent types: the objective
-    # only sees the total weight of such a class, and merging removes the
-    # structural Jacobian singularity duplicates would cause
-    by_key: dict = {}
-    for a in range(m):
-        key = 0
-        for t, mask in enumerate(masks):
-            if mask >> a & 1:
-                key |= 1 << t
-        by_key.setdefault(key, []).append(a)
-    class_members = list(by_key.values())
-    mr = len(class_members)
-    liking = [
-        [t for t in range(len(masks)) if masks[t] >> group[0] & 1]
-        for group in class_members
-    ]
-    members = [
-        set(c for c in range(mr) if masks[t] >> class_members[c][0] & 1)
-        for t in range(len(masks))
-    ]
-
-    zf = [len(group) / m for group in class_members]
-    tol_f = float(tol)
-
-    def util(t, zz):
-        return sum(zz[c] for c in members[t])
-
-    def objective(zz):
-        return sum(counts[t] * math.log(max(util(t, zz), 1e-300)) for t in range(len(masks)))
-
-    def full_residual(zz):
-        inv = [counts[t] / max(util(t, zz), 1e-300) for t in range(len(masks))]
-        g = [sum(inv[t] for t in liking[c]) for c in range(mr)]
-        res = 0.0
-        for c in range(mr):
-            if zz[c] > _SNAP:
-                res = max(res, abs(g[c] - n))
-            else:
-                res = max(res, g[c] - n)
-        return res, g
-
-    obj = objective(zf)
-    iterations = 0
-    converged = False
-    while iterations < _NMP_ITERATION_CAP:
-        iterations += 1
-        residual, g = full_residual(zf)
-        if residual <= tol_f * 0.5:
-            converged = True
-            break
-        if iterations % 25 == 0 and residual < 1e-1 * n:
-            refined = _nmp_newton(zf, counts, members, liking, n, mr)
-            if refined is not None:
-                ref_res, ref_g = full_residual(refined)
-                if ref_res <= tol_f * 0.5:
-                    zf, converged = refined, True
-                    break
-                if ref_res < residual:
-                    # correct direction but not converged, or the support must
-                    # grow: reseed the violating coordinates and continue
-                    zf = [
-                        max(x, 1e-8) if ref_g[c] > n else x
-                        for c, x in enumerate(refined)
-                    ]
-                    total = sum(zf)
-                    zf = [x / total for x in zf]
-                    obj = objective(zf)
-                    continue
-        cand = [zf[c] * g[c] / n for c in range(mr)]
-        total = sum(cand)
-        cand = [x / total for x in cand]
-        cand_obj = objective(cand)
-        if cand_obj < obj:
-            cand = [(x + y) / 2 for x, y in zip(zf, cand)]
-            cand_obj = objective(cand)
-        zf, obj = cand, cand_obj
-
-    zf = [0.0 if x <= _SNAP else x for x in zf]
-    total = sum(zf)
-    zf = [x / total for x in zf]
-    # expand back: a class's weight is split uniformly among its columns
-    zfull = [0.0] * m
-    for c, group in enumerate(class_members):
-        for a in group:
-            zfull[a] = zf[c] / len(group)
-    mix = _float_to_mixture(zfull, m)
+    solver = _LogWelfare(P)
+    zf, iterations, converged, _ = solver.solve(float(tol))
+    mix = solver.mixture(zf)
     residual = kkt_residual(P, mix)
+    if converged and residual > tol:
+        zf, extra, converged, _ = solver.solve(float(tol), zf)
+        iterations += extra
+        mix = solver.mixture(zf)
+        residual = kkt_residual(P, mix)
     return NmpSolution(
         z=mix,
         kkt_residual=residual,
@@ -746,67 +791,23 @@ def nmp_rule(
     )
 
 
-def h_rule(P: Problem, q, tol: Fraction = Fraction(1, 10**9)) -> HRuleSolution:
+def h_rule(
+    P: Union[Problem, TypedProfile], q, tol: Fraction = Fraction(1, 10**9)
+) -> HRuleSolution:
     """Power-family welfare rule: maximize sum of sign(q) * U_i^q, q < 1, q != 0.
 
-    Same multiplicative scheme as NMP with gradient weights h'(U) = |q| *
-    U^(q-1).  The objective is strictly concave in utilities, so the optimal
-    utility profile is unique; ``gap`` bounds the simplex-gradient optimality
-    gap at the returned point.
+    The power member of the welfare solver, with gradient weights h'(U) =
+    |q| * U^(q-1).  The objective is strictly concave in utilities, so the
+    optimal utility profile is unique.
     """
     q = Fraction(q)
     if q >= 1 or q == 0:
         raise ValueError("h_rule requires q < 1 and q != 0")
-    tol_f = float(Fraction(tol))
-    entries, n, m = _typed_entries(P)
-    masks = [mask for _, mask in entries]
-    counts = [float(c) for c, _ in entries]
-    liking = [[t for t, mask in enumerate(masks) if mask >> a & 1] for a in range(m)]
-    members = [[a for a in range(m) if mask >> a & 1] for mask in masks]
-    qf = float(q)
-    sign = 1.0 if q > 0 else -1.0
-
-    def hprime(x):
-        return abs(qf) * x ** (qf - 1.0)
-
-    def objective(zz):
-        return sum(
-            counts[t] * sign * max(sum(zz[a] for a in members[t]), 1e-300) ** qf
-            for t in range(len(masks))
-        )
-
-    zf = [1.0 / m] * m
-    obj = objective(zf)
-    iterations = 0
-    converged = False
-    gap = math.inf
-    while iterations < _NMP_ITERATION_CAP:
-        iterations += 1
-        grad_w = [
-            counts[t] * hprime(max(sum(zf[a] for a in members[t]), 1e-300))
-            for t in range(len(masks))
-        ]
-        g = [sum(grad_w[t] for t in liking[a]) for a in range(m)]
-        avg = sum(zf[a] * g[a] for a in range(m))
-        gap = max(g) - avg
-        if gap <= tol_f * max(1.0, avg):
-            converged = True
-            break
-        cand = [zf[a] * g[a] / avg for a in range(m)]
-        total = sum(cand)
-        cand = [x / total for x in cand]
-        cand_obj = objective(cand)
-        if cand_obj <= obj:
-            cand = [(x + y) / 2 for x, y in zip(zf, cand)]
-            cand_obj = objective(cand)
-        zf, obj = cand, cand_obj
-
-    zf = [0.0 if x <= _SNAP else x for x in zf]
-    total = sum(zf)
-    zf = [x / total for x in zf]
+    solver = _PowerWelfare(P, float(q))
+    zf, iterations, converged, gap = solver.solve(float(Fraction(tol)))
     return HRuleSolution(
-        z=_float_to_mixture(zf, m),
-        gap=Fraction(gap).limit_denominator(10**15) if math.isfinite(gap) else Fraction(1),
+        z=solver.mixture(zf),
+        gap=Fraction(gap).limit_denominator(10**15),
         iterations=iterations,
         converged=converged,
     )

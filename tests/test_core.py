@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairmix import core, generators, rules
+from fairmix import core, generators, lp, rules
 from fairmix.core import (
     Mixture,
     Problem,
@@ -261,7 +261,7 @@ def test_epsilon_of_efficient_profile_is_one():
     P = generators.fixture("ex5")
     z = Mixture((F(0), F(0), F(0), F(1, 2), F(1, 2)))
     eps = epsilon_inefficiency(P, utilities(P, z))
-    assert eps == 1  # bisection exits immediately once eps=1 is feasible
+    assert eps == 1  # the LP optimum is t* = 1
 
 
 def test_epsilon_scaling():
@@ -276,12 +276,46 @@ def test_epsilon_scaling():
 def test_epsilon_rp_on_ex3():
     # U^rp on this fixture is Pareto-dominated, but the only improving
     # direction leaves one agent exactly flat, so no uniform proportional
-    # boost above 1 exists: the bisection correctly returns 1.  (Verified
-    # independently with a direct max-theta LP.)
+    # boost above 1 exists: the max-t LP has t* = 1 exactly.
     P = generators.fixture("ex3")
     U, z = rules.rp_exact(P)
     assert is_efficient(P, U, source=z).passed is False
     assert epsilon_inefficiency(P, U) == 1
+
+
+def _epsilon_bisection(P, U, tol):
+    """Reference: bisection on eps with one LP feasibility test per step."""
+
+    def feasible(eps):
+        constraints = [
+            (tuple(F(P.u[i][a]) for a in range(P.m)), lp.GE, U[i] / eps)
+            for i in range(P.n)
+        ]
+        constraints.append(((F(1),) * P.m, lp.EQ, F(1)))
+        prog = lp.LinearProgram(objective=(F(0),) * P.m, constraints=tuple(constraints))
+        return lp.solve_lp(prog).status == "optimal"
+
+    lo, hi = F(0), F(1)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_epsilon_matches_bisection():
+    rng = random.Random(83)
+    for _ in range(12):
+        P = _random_problem(rng, max_n=5, max_m=4)
+        z = _random_mixture(rng, P.m)
+        scale = F(rng.randint(1, 12), 12)
+        U = UtilityProfile(tuple(x * scale for x in utilities(P, z).U))
+        if all(x == 0 for x in U.U):
+            continue
+        for tol in (core.DEFAULT_EPSILON_TOL, F(1, 1000), F(3, 7), F(1), F(2)):
+            assert epsilon_inefficiency(P, U, tol) == _epsilon_bisection(P, U, tol)
 
 
 def test_epsilon_rejects_all_zero():

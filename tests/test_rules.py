@@ -1,13 +1,14 @@
 """Tests for the mixing rules."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from fairmix import core, generators, rules
-from fairmix.core import Mixture, Problem, utilities
+from fairmix import core, generators, lp, rules
+from fairmix.core import Mixture, Problem, TypedProfile, utilities
 from fairmix.rules import (
     CUT,
     EGAL,
@@ -32,6 +33,17 @@ F = Fraction
 
 EX3 = generators.fixture("ex3")
 EX5 = generators.fixture("ex5")
+
+
+def _electorate(seed, j, m, types, agents):
+    """Profile ``j`` of ``seed``: ``types`` random like-sets over ``m`` outcomes
+    sharing ``agents`` agents in random positive counts."""
+    rng = random.Random(random.Random(f"electorate:{seed}:{j}").getrandbits(63))
+    masks = rng.sample(range(1, 1 << m), types)
+    cuts = sorted(rng.sample(range(1, agents), types - 1))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [agents])]
+    return TypedProfile(m=m, entries=[(c, [a for a in range(m) if k >> a & 1])
+                                      for c, k in zip(counts, masks)])
 
 
 def _random_problem(rng, max_n=6, max_m=6):
@@ -232,6 +244,13 @@ def test_egal_is_leximin_on_small_instances():
             assert not theirs > ours or theirs == ours
 
 
+def test_egal_failed_lp_raises(monkeypatch):
+    # control flow must not rely on assert, which python -O strips
+    monkeypatch.setattr(rules.lp, "solve_lp", lambda prog: lp.LpOutcome("infeasible"))
+    with pytest.raises(RuntimeError):
+        egal_rule(EX3)
+
+
 def test_egal_clone_invariance():
     rng = random.Random(47)
     for _ in range(25):
@@ -301,6 +320,17 @@ def test_nmp_typed_profile_no_expansion():
     target = generators.APPENDIX_860_Z
     for got, want in zip(sol.z.z, target.z):
         assert abs(got - want) <= F(1, 10**6)
+
+
+def test_nmp_certifies_after_snapping():
+    # the float stop test passes while one class weight is still in
+    # (0, 1e-13]; snapping it moves small utilities, so the solver resumes
+    for seed, j in ((20, 22), (201, 46)):
+        T = _electorate(seed, j, 5, 20, 1000)
+        sol = nmp_rule(T)
+        assert sol.converged
+        assert sol.kkt_residual <= rules.DEFAULT_NMP_TOL
+        assert sol.kkt_residual == kkt_residual(T, sol.z)
 
 
 def test_kkt_residual_trivial():
@@ -376,6 +406,22 @@ def test_hrule_near_one_approaches_util():
     Uutil, _ = util_rule(EX3)
     for got, want in zip(U.U, Uutil.U):
         assert abs(got - want) < F(1, 1000)
+
+
+def test_hrule_newton_on_electorate():
+    # the multiplicative step alone needs over 10^6 iterations here
+    sol = h_rule(_electorate(206, 32, 6, 16, 400), q=F(1, 2))
+    assert sol.converged
+    assert sol.iterations <= 1000
+
+
+def test_hrule_damps_on_objective_tie():
+    # without damping on an exact tie, q = -1 cycles between class weights
+    # (2/3, 1/3) and (1/5, 4/5) here; the optimum is U_0 = 1/(1 + sqrt 2)
+    P = Problem(((1, 1, 0), (0, 0, 1), (0, 0, 1)))
+    sol = h_rule(P, q=-1)
+    assert sol.converged
+    assert abs(float(utilities(P, sol.z).U[0]) - 1 / (1 + math.sqrt(2))) <= 1e-6
 
 
 def test_hrule_rejects_bad_q():
