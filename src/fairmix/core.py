@@ -84,8 +84,11 @@ class Problem:
                 mask |= 1 << a
         return mask
 
-    def column(self, a: int) -> tuple:
-        return tuple(row[a] for row in self.u)
+    @property
+    def types(self) -> tuple:
+        """(count, like-mask) agent types, identical agents merged, in order of
+        first appearance."""
+        return _merged_types((1, self.like_mask(i)) for i in range(self.n))
 
     def column_sum(self, a: int) -> int:
         return sum(row[a] for row in self.u)
@@ -158,6 +161,10 @@ class TypedProfile:
             (int(c), frozenset(int(a) for a in s)) for c, s in self.entries
         )
         object.__setattr__(self, "entries", entries)
+        if self.m < 1:
+            raise ValueError("a profile needs at least one outcome")
+        if not entries:
+            raise ValueError("a profile needs at least one agent type")
         for count, like in entries:
             if count <= 0:
                 raise ValueError("type multiplicities must be positive")
@@ -170,12 +177,24 @@ class TypedProfile:
     def n(self) -> int:
         return sum(c for c, _ in self.entries)
 
+    @property
+    def types(self) -> tuple:
+        """(count, like-mask) agent types, as for ``Problem.types``."""
+        return _merged_types((c, sum(1 << a for a in like)) for c, like in self.entries)
+
     def to_problem(self) -> Problem:
         rows = []
         for count, like in self.entries:
             row = tuple(1 if a in like else 0 for a in range(self.m))
             rows.extend([row] * count)
         return Problem(tuple(rows))
+
+
+def _merged_types(pairs) -> tuple:
+    counts: dict = {}
+    for count, mask in pairs:
+        counts[mask] = counts.get(mask, 0) + count
+    return tuple((c, mask) for mask, c in counts.items())
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import lp
-from .core import Mixture, Problem, TypedProfile, UtilityProfile, utilities
+from .core import Mixture, Problem, TypedProfile, utilities
 
 __all__ = [
     "RuleId",
@@ -89,6 +89,11 @@ class RuleId:
             if q >= 1 or q == 0:
                 raise ValueError("HRULE exponent must satisfy q < 1, q != 0")
             object.__setattr__(self, "q", q)
+        if self.kind == "RP_MC":
+            if not isinstance(self.samples, int) or self.samples < 1:
+                raise ValueError("RP_MC needs an integer sample count >= 1")
+            if self.seed is None:
+                raise ValueError("RP_MC needs a seed")
 
     def __str__(self) -> str:
         if self.kind == "HRULE":
@@ -139,32 +144,45 @@ class HRuleSolution:
 # helpers
 
 
-def _typed_entries(P: Union[Problem, TypedProfile]):
-    """(count, like-mask) pairs with identical agents merged, plus (n, m)."""
-    if isinstance(P, TypedProfile):
-        pairs = [(count, sum(1 << a for a in like)) for count, like in P.entries]
-    else:
-        pairs = [(1, P.like_mask(i)) for i in range(P.n)]
-    counter = Counter()
-    for count, mask in pairs:
-        counter[mask] += count
-    return [(c, mask) for mask, c in counter.items()], sum(counter.values()), P.m
+def _outcome_classes(types, m: int):
+    """Outcomes liked by exactly the same types, as (outcomes, support) pairs.
+
+    Classes come in order of their first outcome; the support of a class is
+    the number of agents liking each of its outcomes.
+    """
+    groups: dict = {}
+    for a in range(m):
+        groups.setdefault(tuple(mask >> a & 1 for _, mask in types), []).append(a)
+    return [
+        (cls, sum(c for c, mask in types if mask >> cls[0] & 1))
+        for cls in groups.values()
+    ]
 
 
-def _column_classes(P: Problem):
-    """Group outcome indices by identical columns; returns list of lists."""
-    groups = {}
-    for a in range(P.m):
-        groups.setdefault(P.column(a), []).append(a)
-    return list(groups.values())
+def _spread_over_best(classes, weight: Fraction, z: list) -> None:
+    """Add ``weight`` to ``z`` uniformly over the classes of maximal support,
+    split uniformly inside each class."""
+    best = max(support for _, support in classes)
+    winners = [cls for cls, support in classes if support == best]
+    for cls in winners:
+        w = weight / (len(winners) * len(cls))
+        for a in cls:
+            z[a] += w
 
 
-def _uniform_mixture(outcomes, m: int) -> Mixture:
-    w = Fraction(1, len(outcomes))
-    z = [Fraction(0)] * m
-    for a in outcomes:
-        z[a] = w
-    return Mixture(tuple(z))
+def _uniform_on(feasible: int, m: int) -> tuple:
+    """The uniform distribution over the outcomes in the bitmask ``feasible``."""
+    w = Fraction(1, feasible.bit_count())
+    return tuple(w if feasible >> a & 1 else Fraction(0) for a in range(m))
+
+
+def _split(classes, weights, m: int) -> list:
+    """Per-outcome weights: each class's weight split uniformly inside it."""
+    z = [0] * m
+    for w, cls in zip(weights, classes):
+        for a in cls:
+            z[a] = w / len(cls)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -177,14 +195,8 @@ def util_rule(P: Problem):
     Identical columns are collapsed into one class first, so duplicating an
     outcome never changes anybody's utility.
     """
-    classes = _column_classes(P)
-    best = max(P.column_sum(cls[0]) for cls in classes)
-    winners = [cls for cls in classes if P.column_sum(cls[0]) == best]
     z = [Fraction(0)] * P.m
-    for cls in winners:
-        w = Fraction(1, len(winners) * len(cls))
-        for a in cls:
-            z[a] += w
+    _spread_over_best(_outcome_classes(P.types, P.m), Fraction(1), z)
     mix = Mixture(tuple(z))
     return utilities(P, mix), mix
 
@@ -195,21 +207,12 @@ def cut_rule(P: Problem):
     Each agent controls a 1/n share and spreads it uniformly over the
     distinct column classes of maximal support within her own like-set.
     """
+    types = P.types
+    classes = _outcome_classes(types, P.m)
     z = [Fraction(0)] * P.m
-    classes = _column_classes(P)
-    for i in range(P.n):
-        like = set(P.like_set(i))
-        mine = [
-            [a for a in cls if a in like]
-            for cls in classes
-            if any(a in like for a in cls)
-        ]
-        best = max(P.column_sum(cls[0]) for cls in mine)
-        winners = [cls for cls in mine if P.column_sum(cls[0]) == best]
-        for cls in winners:
-            w = Fraction(1, P.n * len(winners) * len(cls))
-            for a in cls:
-                z[a] += w
+    for count, mask in types:
+        mine = [(cls, support) for cls, support in classes if mask >> cls[0] & 1]
+        _spread_over_best(mine, Fraction(count, P.n), z)
     mix = Mixture(tuple(z))
     return utilities(P, mix), mix
 
@@ -233,46 +236,40 @@ def sigma_priority(P: Problem, order: Sequence[int]):
         mask = P.like_mask(i)
         if feasible & mask:
             feasible &= mask
-    outcomes = [a for a in range(P.m) if feasible >> a & 1]
-    mix = _uniform_mixture(outcomes, P.m)
+    mix = Mixture(_uniform_on(feasible, P.m))
     return utilities(P, mix), mix
 
 
 def rp_exact(P: Problem):
     """Random priority: the exact average of sigma-priority over all n! orders.
 
-    Computed by dynamic programming over (feasible outcome set, set of agents
-    still to come), which collapses the factorial into a small state space.
-    Capped at n <= 10; the rule is #P-hard in general.
+    Computed by dynamic programming over the feasible outcome set F alone.
+    An agent whose like-set contains F or misses it is inert: it cannot
+    change F, now or after F shrinks.  Every agent already passed in the
+    order is inert, since it either cut F down to its like-set or was
+    skipped.  So the next agent to act is uniform over the live agents, whose
+    like-sets split F, drawn by type and weighted by count; the memo needs no
+    record of who has passed and holds at most 2^m states.  Capped at
+    n <= 10; the rule is #P-hard in general.
     """
     if P.n > RP_MAX_AGENTS:
         raise ValueError(f"rp_exact is capped at n <= {RP_MAX_AGENTS}")
-    masks = [P.like_mask(i) for i in range(P.n)]
-    m = P.m
-    full = (1 << m) - 1
+    types, m = P.types, P.m
 
     @functools.lru_cache(maxsize=None)
-    def average(feasible: int, remaining: int):
-        if remaining == 0:
-            outcomes = [a for a in range(m) if feasible >> a & 1]
-            w = Fraction(1, len(outcomes))
-            return tuple(w if feasible >> a & 1 else Fraction(0) for a in range(m))
+    def average(feasible: int):
+        live = [(c, feasible & mask) for c, mask in types]
+        live = [(c, nxt) for c, nxt in live if nxt not in (0, feasible)]
+        if not live:
+            return _uniform_on(feasible, m)
         total = [Fraction(0)] * m
-        count = 0
-        rem = remaining
-        while rem:
-            bit = rem & -rem
-            rem ^= bit
-            i = bit.bit_length() - 1
-            nxt = feasible & masks[i] or feasible
-            sub = average(nxt, remaining ^ bit)
-            for a in range(m):
-                total[a] += sub[a]
-            count += 1
-        w = Fraction(1, count)
-        return tuple(x * w for x in total)
+        for c, nxt in live:
+            for a, x in enumerate(average(nxt)):
+                total[a] += c * x
+        weight = sum(c for c, _ in live)
+        return tuple(x / weight for x in total)
 
-    z = average(full, (1 << P.n) - 1)
+    z = average((1 << m) - 1)
     average.cache_clear()
     mix = Mixture(z)
     return utilities(P, mix), mix
@@ -300,10 +297,8 @@ def rp_monte_carlo(P: Problem, samples: int, seed: int):
         final_counts[feasible] += 1
     z = [Fraction(0)] * P.m
     for feasible, c in final_counts.items():
-        outcomes = [a for a in range(P.m) if feasible >> a & 1]
-        w = Fraction(c, samples * len(outcomes))
-        for a in outcomes:
-            z[a] += w
+        for a, x in enumerate(_uniform_on(feasible, P.m)):
+            z[a] += x * Fraction(c, samples)
     mix = Mixture(tuple(z))
     return utilities(P, mix), mix
 
@@ -318,54 +313,37 @@ def egal_rule(P: Problem):
     Round k maximizes a common floor t for the not-yet-frozen agents, then
     freezes every tight agent whose utility provably cannot exceed t (tested
     with one secondary LP each).  O(n^2) LPs overall, everything exact.
-    Identical agents are merged first; clones always share one utility.
+    The LPs run over agent types and outcome classes: clones always share
+    one utility, and only a class's total weight matters to anybody.
     """
-    entries, n, m = _typed_entries(P)
-    rows = [
-        tuple(Fraction(1) if mask >> a & 1 else Fraction(0) for a in range(m))
-        for _, mask in entries
-    ]
-    k = len(rows)
-    simplex_row = ((Fraction(1),) * m + (Fraction(0),), lp.EQ, Fraction(1))
+    types, m = P.types, P.m
+    classes = [cls for cls, _ in _outcome_classes(types, m)]
+    rows = [tuple(Fraction(mask >> cls[0] & 1) for cls in classes) for _, mask in types]
+    k, width = len(rows), len(classes)
+    simplex_row = ((Fraction(1),) * width + (Fraction(0),), lp.EQ, Fraction(1))
 
-    frozen = {}  # class index -> utility
+    frozen = {}  # type index -> utility
     unfrozen = set(range(k))
     zstar = None
     while unfrozen:
-        # variables: z_0..z_{m-1}, t
-        constraints = [simplex_row]
-        for j in unfrozen:
-            constraints.append((rows[j] + (Fraction(-1),), lp.GE, Fraction(0)))
-        for j, val in frozen.items():
-            constraints.append((rows[j] + (Fraction(0),), lp.EQ, val))
-        objective = (Fraction(0),) * m + (Fraction(1),)
+        # variables: one weight per outcome class, then t
+        fixed = [(rows[j] + (Fraction(0),), lp.EQ, val) for j, val in frozen.items()]
+        floor = [(rows[j] + (Fraction(-1),), lp.GE, Fraction(0)) for j in unfrozen]
+        objective = (Fraction(0),) * width + (Fraction(1),)
         out = lp.solve_lp(
-            lp.LinearProgram(objective=objective, constraints=tuple(constraints))
+            lp.LinearProgram(objective, tuple([simplex_row] + floor + fixed))
         )
         if out.status != "optimal":
             raise RuntimeError(f"leximin round LP is {out.status}")
         t = out.value
-        zstar = out.solution[:m]
+        zstar = out.solution[:width]
+        at_floor = [(rows[i] + (Fraction(0),), lp.GE, t) for i in unfrozen]
+        probe_rows = tuple([simplex_row] + at_floor + fixed)
         newly = []
         for j in unfrozen:
-            if sum(zstar[a] for a in range(m) if rows[j][a]) > t:
+            if sum(w for w, liked in zip(zstar, rows[j]) if liked) > t:
                 continue  # already above the floor at the found vertex
-            probe = lp.solve_lp(
-                lp.LinearProgram(
-                    objective=rows[j] + (Fraction(0),),
-                    constraints=tuple(
-                        [simplex_row]
-                        + [
-                            (rows[i] + (Fraction(0),), lp.GE, t)
-                            for i in unfrozen
-                        ]
-                        + [
-                            (rows[i] + (Fraction(0),), lp.EQ, val)
-                            for i, val in frozen.items()
-                        ]
-                    ),
-                )
-            )
+            probe = lp.solve_lp(lp.LinearProgram(rows[j] + (Fraction(0),), probe_rows))
             if probe.status != "optimal":
                 raise RuntimeError(f"leximin probe LP is {probe.status}")
             if probe.value == t:
@@ -376,13 +354,10 @@ def egal_rule(P: Problem):
             frozen[j] = t
             unfrozen.discard(j)
 
-    class_util = [frozen[j] for j in range(k)]
-    mix = _min_norm_mixture(rows, class_util, m, start=zstar)
-    per_agent = {mask: frozen[j] for j, (_, mask) in enumerate(entries)}
-    if isinstance(P, TypedProfile):  # pragma: no cover - callers pass Problem
-        P = P.to_problem()
-    U = UtilityProfile(tuple(per_agent[P.like_mask(i)] for i in range(P.n)))
-    return U, mix
+    start = _split(classes, zstar, m)
+    full_rows = [tuple(Fraction(mask >> a & 1) for a in range(m)) for _, mask in types]
+    mix = _min_norm_mixture(full_rows, [frozen[j] for j in range(k)], m, start=start)
+    return utilities(P, mix), mix
 
 
 def _row_reduce_restricted(rows, rhs, pivot_cols):
@@ -415,22 +390,6 @@ def _row_reduce_restricted(rows, rhs, pivot_cols):
     return [(tuple(row[:ncols]), row[ncols]) for row in work[:r]]
 
 
-def _solve_square(A, b):
-    """Solve a square nonsingular rational system exactly."""
-    k = len(A)
-    work = [list(A[i]) + [b[i]] for i in range(k)]
-    for c in range(k):
-        pivot = next(i for i in range(c, k) if work[i][c] != 0)
-        work[c], work[pivot] = work[pivot], work[c]
-        inv = 1 / work[c][c]
-        work[c] = [x * inv for x in work[c]]
-        for i in range(k):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return [work[i][k] for i in range(k)]
-
-
 def _min_norm_mixture(util_rows, util_vals, m: int, start) -> Mixture:
     """The minimum-norm point of {z >= 0, sum z = 1, util_rows . z = util_vals}.
 
@@ -450,7 +409,9 @@ def _min_norm_mixture(util_rows, util_vals, m: int, start) -> Mixture:
             [sum(r1[a] * r2[a] for a in free) for r2, _ in reduced]
             for r1, _ in reduced
         ]
-        w = _solve_square(gram, [v for _, v in reduced])
+        # the Gram matrix is nonsingular: full reduction leaves the solution
+        solved = _row_reduce_restricted(gram, [v for _, v in reduced], range(len(gram)))
+        w = [v for _, v in solved]
         z_eq = [Fraction(0)] * m
         for a in free:
             z_eq[a] = sum(wi * row[a] for wi, (row, _) in zip(w, reduced))
@@ -494,11 +455,11 @@ def kkt_residual(P: Union[Problem, TypedProfile], z: Mixture) -> Fraction:
     unsupported ones it may not exceed n.  The returned rational is the worst
     violation; 0 certifies stationarity exactly.
     """
-    entries, n, m = _typed_entries(P)
+    types, n, m = P.types, P.n, P.m
     if z.m != m:
         raise ValueError("dimension mismatch")
     inv = []
-    for count, mask in entries:
+    for count, mask in types:
         U = sum((z.z[a] for a in range(m) if mask >> a & 1), Fraction(0))
         if U == 0:
             raise ValueError("kkt_residual needs every agent utility positive")
@@ -506,7 +467,7 @@ def kkt_residual(P: Union[Problem, TypedProfile], z: Mixture) -> Fraction:
     residual = Fraction(0)
     for a in range(m):
         g = sum(
-            (inv[t] for t, (_, mask) in enumerate(entries) if mask >> a & 1),
+            (inv[t] for t, (_, mask) in enumerate(types) if mask >> a & 1),
             Fraction(0),
         )
         if z.z[a] > 0:
@@ -557,12 +518,9 @@ class _WelfareSolver:
     """
 
     def __init__(self, P: Union[Problem, TypedProfile]):
-        entries, self.n, self.m = _typed_entries(P)
-        masks = [mask for _, mask in entries]
-        by_key: dict = {}
-        for a in range(self.m):
-            by_key.setdefault(tuple(mask >> a & 1 for mask in masks), []).append(a)
-        self.outcomes = list(by_key.values())
+        types, self.n, self.m = P.types, P.n, P.m
+        masks = [mask for _, mask in types]
+        self.outcomes = [cls for cls, _ in _outcome_classes(types, self.m)]
         self.liking = [
             [t for t in range(len(masks)) if masks[t] >> group[0] & 1]
             for group in self.outcomes
@@ -571,15 +529,11 @@ class _WelfareSolver:
             set(c for c, group in enumerate(self.outcomes) if mask >> group[0] & 1)
             for mask in masks
         ]
-        self.counts = [float(c) for c, _ in entries]
+        self.counts = [float(c) for c, _ in types]
 
     def mixture(self, zf) -> Mixture:
         """Round class weights to a mixture, each class split uniformly."""
-        zfull = [0.0] * self.m
-        for c, group in enumerate(self.outcomes):
-            for a in group:
-                zfull[a] = zf[c] / len(group)
-        return _float_to_mixture(zfull, self.m)
+        return _float_to_mixture(_split(self.outcomes, zf, self.m), self.m)
 
     def newton(self, zf):
         """Newton refinement of the stationarity system on the support.

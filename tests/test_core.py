@@ -82,6 +82,10 @@ def test_typed_profile_expansion_order_stable():
         TypedProfile(m=3, entries=((0, frozenset({0})),))
     with pytest.raises(ValueError):
         TypedProfile(m=3, entries=((1, frozenset()),))
+    with pytest.raises(ValueError):
+        TypedProfile(m=3, entries=())
+    with pytest.raises(ValueError):
+        TypedProfile(m=0, entries=())
 
 
 # ---------------------------------------------------------------- parsing

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmix import core, generators, lp, rules
 from fairmix.core import Mixture, Problem, TypedProfile, utilities
@@ -17,6 +19,7 @@ from fairmix.rules import (
     RP,
     RP_MC,
     UTIL,
+    RuleId,
     cut_rule,
     egal_rule,
     evaluate,
@@ -170,6 +173,34 @@ def test_rp_matches_explicit_enumeration():
             count += 1
         expected = tuple(t / count for t in total)
         assert z.z == expected
+
+
+@st.composite
+def _nested_profiles(draw):
+    """Up to 6 agents over up to 5 outcomes, like-sets drawn from the pairwise
+    intersections of at most 3 base like-sets, so they repeat and nest."""
+    m = draw(st.integers(1, 5))
+    base = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=3))
+    pool = sorted({a & b for a in base for b in base} - {0})
+    masks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    return Problem(tuple(tuple(k >> a & 1 for a in range(m)) for k in masks))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nested_profiles())
+def test_rp_matches_all_orders(P):
+    # the oracle walks every one of the n! orders itself
+    total = [F(0)] * P.m
+    orders = list(itertools.permutations(range(P.n)))
+    for order in orders:
+        feasible = set(range(P.m))
+        for i in order:
+            feasible = feasible & {a for a in range(P.m) if P.u[i][a]} or feasible
+        for a in feasible:
+            total[a] += F(1, len(feasible))
+    U, z = rp_exact(P)
+    assert z.z == tuple(x / len(orders) for x in total)
+    assert U == utilities(P, z)
 
 
 def test_rp_size_refusal():
@@ -449,6 +480,14 @@ def test_hrule_id_validation():
         HRULE(1)
     with pytest.raises(ValueError):
         HRULE(0)
+
+
+def test_rp_mc_id_validation():
+    # checked when the id is built, not when the rule first runs
+    for samples, seed in ((None, 0), (0, 0), (2.5, 0), (10, None)):
+        with pytest.raises(ValueError):
+            RuleId("RP_MC", samples=samples, seed=seed)
+    assert RP_MC(1, 0) == RuleId("RP_MC", samples=1, seed=0)
 
 
 def test_rules_anonymity_and_neutrality():
