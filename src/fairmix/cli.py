@@ -63,7 +63,7 @@ def _parse_rule(args) -> rules.RuleId:
     if name == "hrule":
         if args.q is None:
             raise ValueError("hrule needs --q")
-        return rules.HRULE(Fraction(args.q))
+        return rules.HRULE(core.parse_rational(args.q))
     raise ValueError(f"unknown rule {args.rule!r}")
 
 
@@ -156,7 +156,7 @@ def _cmd_table(args) -> int:
         seed=args.seed,
         rules=tuple(rule_ids),
     )
-    csv = experiments.grid_to_csv(experiments.run_grid(grid, jobs=args.jobs))
+    csv = experiments.grid_to_csv(experiments.run_grid(grid))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(csv)
@@ -285,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--rules", required=True, help="comma-separated rule names")
     s.add_argument("--q", help="exponent if hrule is among the rules")
     s.add_argument("--samples", type=int, help="samples if rp-mc is among the rules")
-    s.add_argument("--jobs", type=int, default=1, help="worker pool size")
     s.add_argument("--output", help="CSV file (default: stdout)")
     s.set_defaults(func=_cmd_table)
 

@@ -31,6 +31,7 @@ __all__ = [
     "AxiomVerdict",
     "parse_problem",
     "format_problem",
+    "parse_rational",
     "parse_mixture",
     "format_mixture",
     "utilities",
@@ -292,12 +293,23 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def parse_rational(text: str) -> Fraction:
+    """Parse an exact rational such as ``3``, ``-1/2`` or ``0.25``.
+
+    Malformed text and a zero denominator both raise ``ValueError``.
+    """
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_mixture(text: str) -> Mixture:
     """Parse a mixture serialized as space-separated exact rationals."""
     parts = text.split()
     if not parts:
         raise ValueError("empty mixture text")
-    return Mixture(tuple(Fraction(p) for p in parts))
+    return Mixture(tuple(parse_rational(p) for p in parts))
 
 
 def format_mixture(z: Mixture) -> str:

@@ -96,13 +96,8 @@ def welfare_ratio(P: Problem, rule: rules.RuleId) -> Fraction:
     return U.total() / best
 
 
-def run_grid(g: ExperimentGrid, jobs: int = 1):
-    """Evaluate every (rule, n, m) cell; returns a list of result rows.
-
-    ``jobs`` is accepted for interface compatibility; scheduling never
-    affects the output because every draw is independently seeded.
-    """
-    del jobs  # draws are sub-seeded; order of evaluation cannot matter
+def run_grid(g: ExperimentGrid):
+    """Evaluate every (rule, n, m) cell; returns a list of result rows."""
     results = []
     for n in g.agent_counts:
         for m in g.outcome_counts:

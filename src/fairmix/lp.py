@@ -1,13 +1,20 @@
 """Exact rational linear programming.
 
-A small dense two-phase primal simplex solver over exact rationals.  It is
-the single optimization backend for the efficiency checks, the egalitarian
-rule, the core-fair-share checker, and the epsilon-inefficiency LP.
+A small dense two-phase primal simplex over exact rationals, for programs
+``maximize c·x`` subject to rows ``a·x (rel) b`` with every variable
+``x >= 0``.  It is the single optimization backend for the efficiency
+check, the epsilon-inefficiency LP, the core-fair-share checker, and the
+egalitarian rule's round and probe LPs.
+
+``_pivot`` is the one exact Gauss-Jordan step in the library: the simplex
+pivots with it, and ``row_reduce`` (the elimination behind the egalitarian
+rule's min-norm step) is built on it.
 
 Everything here is exact: solutions are basic feasible solutions whose
 coordinates satisfy every constraint with exact rational arithmetic, so the
 callers can use them as certificates rather than estimates.  Bland's rule
-makes the solver deterministic and immune to cycling.
+(Bland 1977) picks the entering and leaving columns, which makes the solver
+deterministic and immune to cycling.
 
 Internally the tableau uses ``gmpy2.mpq`` when available (noticeably faster
 on the long pivot loops); the public interface speaks ``fractions.Fraction``.
@@ -15,16 +22,17 @@ on the long pivot loops); the public interface speaks ``fractions.Fraction``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 try:  # pragma: no cover - exercised implicitly on machines with gmpy2
     from gmpy2 import mpq as _mpq
 except ImportError:  # pragma: no cover
     _mpq = Fraction
 
-__all__ = ["LinearProgram", "LpOutcome", "solve_lp", "MAX_VARIABLES", "MAX_CONSTRAINTS"]
+__all__ = ["LinearProgram", "LpOutcome", "solve_lp", "row_reduce",
+           "MAX_VARIABLES", "MAX_CONSTRAINTS"]
 
 #: Hard scale caps: this solver is meant for desk-scale certificates only.
 MAX_VARIABLES = 200
@@ -36,17 +44,10 @@ _RELATIONS = (LE, EQ, GE)
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """A linear program ``maximize c·x`` subject to rows ``a·x (rel) b``.
-
-    ``lower``/``upper`` are per-variable bounds; ``None`` means unbounded on
-    that side.  When the bound tuples are omitted every variable defaults to
-    ``x >= 0`` with no upper bound.
-    """
+    """``maximize c·x`` subject to rows ``a·x (rel) b`` and ``x >= 0``."""
 
     objective: tuple
     constraints: tuple  # of (row, relation, rhs)
-    lower: Optional[tuple] = None
-    upper: Optional[tuple] = None
 
     def __post_init__(self) -> None:
         nvar = len(self.objective)
@@ -61,19 +62,6 @@ class LinearProgram:
                 raise ValueError("constraint row length differs from objective length")
             if rel not in _RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
-        lo = self.lower if self.lower is not None else (Fraction(0),) * nvar
-        hi = self.upper if self.upper is not None else (None,) * nvar
-        if len(lo) != nvar or len(hi) != nvar:
-            raise ValueError("bound tuples must match the variable count")
-        for a, b in zip(lo, hi):
-            if a is not None and b is not None and a > b:
-                raise ValueError("inconsistent bounds: lower > upper")
-
-    def bounds(self) -> tuple:
-        nvar = len(self.objective)
-        lo = self.lower if self.lower is not None else (Fraction(0),) * nvar
-        hi = self.upper if self.upper is not None else (None,) * nvar
-        return lo, hi
 
 
 @dataclass(frozen=True)
@@ -83,205 +71,149 @@ class LpOutcome:
     solution: Optional[tuple] = None
 
 
-def _simplex(tableau, basis, cost_row, ncols):
-    """Run Bland-rule simplex on an equational tableau, in place.
-
-    ``tableau`` is a list of rows over mpq, one per basic variable, with the
-    rhs in the last column; ``cost_row`` holds reduced costs for a
-    maximization, with the (negated) objective value in the last column.
-    Returns "optimal" or "unbounded".
-    """
-    nrows = len(tableau)
-    while True:
-        enter = -1
-        for j in range(ncols):
-            if cost_row[j] > 0:
-                enter = j
-                break
-        if enter < 0:
-            return "optimal"
-        leave = -1
-        best = None
-        for i in range(nrows):
-            a = tableau[i][enter]
-            if a > 0:
-                ratio = tableau[i][ncols] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
-            return "unbounded"
-        _pivot(tableau, cost_row, basis, leave, enter, ncols)
+def _q(x):
+    x = Fraction(x)
+    return _mpq(x.numerator, x.denominator)
 
 
-def _pivot(tableau, cost_row, basis, leave, enter, ncols):
-    row = tableau[leave]
+def _fraction(x) -> Fraction:
+    return Fraction(x.numerator, x.denominator)
+
+
+def _pivot(rows, leave, enter):
+    """Gauss-Jordan step, in place: scale row ``leave`` so its ``enter``
+    entry is 1, then clear column ``enter`` from every other row."""
+    row = rows[leave]
     piv = row[enter]
     if piv != 1:
         inv = 1 / piv
-        tableau[leave] = row = [x * inv for x in row]
-    for i, other in enumerate(tableau):
-        if i != leave and other[enter]:
-            f = other[enter]
-            tableau[i] = [x - f * y for x, y in zip(other, row)]
-    if cost_row[enter]:
-        f = cost_row[enter]
-        for j in range(ncols + 1):
-            cost_row[j] -= f * row[j]
-    basis[leave] = enter
+        rows[leave] = row = [x * inv for x in row]
+    for i, other in enumerate(rows):
+        f = other[enter]
+        if i != leave and f:
+            rows[i] = [x - f * y for x, y in zip(other, row)]
+
+
+def _price(rows, basis, cost):
+    """Append ``cost`` to ``rows`` as the cost row, basic columns priced out.
+
+    The cost row holds the reduced costs of a maximization, with the
+    negated objective value in its last entry.
+    """
+    for i, b in enumerate(basis):
+        f = cost[b]
+        if f:
+            cost = [x - f * y for x, y in zip(cost, rows[i])]
+    rows.append(cost)
+
+
+def _simplex(rows, basis):
+    """Run Bland-rule simplex, in place, on ``rows``: one row per basic
+    variable with the rhs last, then the cost row.
+
+    Returns "optimal" or "unbounded".
+    """
+    rhs = len(rows[-1]) - 1
+    while True:
+        cost = rows[-1]
+        enter = next((j for j in range(rhs) if cost[j] > 0), None)
+        if enter is None:
+            return "optimal"
+        leave = None
+        best = None
+        for i, b in enumerate(basis):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][rhs] / a
+                if best is None or ratio < best or (ratio == best and b < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return "unbounded"
+        _pivot(rows, leave, enter)
+        basis[leave] = enter
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve ``lp`` exactly.  Deterministic: same input, same output."""
     nvar = len(lp.objective)
-    lo, hi = lp.bounds()
-
-    # Translate to the equational form A y = b, y >= 0.  Each original
-    # variable with a finite lower bound is shifted; a doubly-unbounded
-    # variable is split into a difference of two nonnegative parts.
-    # Finite upper bounds become extra <= rows.
-    col_of = []  # per original variable: ("shift", col, lo) or ("split", c+, c-)
-    ncols = 0
-    for k in range(nvar):
-        if lo[k] is not None:
-            col_of.append(("shift", ncols, Fraction(lo[k])))
-            ncols += 1
-        else:
-            col_of.append(("split", ncols, ncols + 1))
-            ncols += 2
-
-    rows = []  # (coeffs over ncols, rel, rhs) all mpq
-    def add_row(orig_row, rel, rhs):
-        coeffs = [_mpq(0)] * ncols
-        shift = _mpq(0)
-        for k, c in enumerate(orig_row):
-            if not c:
-                continue
-            c = _mpq(c.numerator, c.denominator) if isinstance(c, Fraction) else _mpq(c)
-            kind = col_of[k]
-            if kind[0] == "shift":
-                coeffs[kind[1]] += c
-                shift += c * _mpq(kind[2].numerator, kind[2].denominator)
-            else:
-                coeffs[kind[1]] += c
-                coeffs[kind[2]] -= c
-        rhs = _mpq(rhs.numerator, rhs.denominator) if isinstance(rhs, Fraction) else _mpq(rhs)
-        rows.append((coeffs, rel, rhs - shift))
-
-    for row, rel, rhs in lp.constraints:
-        add_row([Fraction(x) for x in row], rel, Fraction(rhs))
-    for k in range(nvar):
-        if hi[k] is not None:
-            unit = [Fraction(0)] * nvar
-            unit[k] = Fraction(1)
-            add_row(unit, LE, Fraction(hi[k]))
-
-    obj = [_mpq(0)] * ncols
-    obj_shift = _mpq(0)
-    for k, c in enumerate(lp.objective):
-        if not c:
-            continue
-        c = Fraction(c)
-        cq = _mpq(c.numerator, c.denominator)
-        kind = col_of[k]
-        if kind[0] == "shift":
-            obj[kind[1]] += cq
-            obj_shift += cq * _mpq(kind[2].numerator, kind[2].denominator)
-        else:
-            obj[kind[1]] += cq
-            obj[kind[2]] -= cq
-
-    # Equational tableau with slacks/surpluses and artificials.
-    nrows = len(rows)
-    slack_cols = 0
-    for _, rel, _ in rows:
+    nslack = sum(rel != EQ for _, rel, _ in lp.constraints)
+    # a row's slack starts basic only for "<=" with rhs >= 0; every other
+    # row gets an artificial column, numbered in row order after the slacks.
+    # (A ">=" row with rhs < 0 could start on its flipped surplus, but that
+    # changes which optimal vertex Bland's rule ends on.)
+    needs_art = [rel != LE or Fraction(rhs) < 0 for _, rel, rhs in lp.constraints]
+    real = nvar + nslack
+    zeros = [_mpq(0)] * (nslack + sum(needs_art))
+    rows, basis = [], []
+    slack, art = nvar, real
+    for (row, rel, rhs), artificial in zip(lp.constraints, needs_art):
+        line = [_q(x) for x in row] + zeros + [_q(rhs)]
         if rel != EQ:
-            slack_cols += 1
-    total = ncols + slack_cols + nrows  # artificial block at the very end
-    tableau = []
-    basis = []
-    scol = ncols
-    art_cols = []
-    for i, (coeffs, rel, rhs) in enumerate(rows):
-        line = list(coeffs) + [_mpq(0)] * (slack_cols + nrows) + [rhs]
-        if rel == LE:
-            line[scol] = _mpq(1)
-            this_slack = scol
-            scol += 1
-        elif rel == GE:
-            line[scol] = _mpq(-1)
-            this_slack = None
-            scol += 1
-        else:
-            this_slack = None
-        if line[total] < 0:
+            line[slack] = _mpq(1 if rel == LE else -1)
+            slack += 1
+        if line[-1] < 0:
             line = [-x for x in line]
-            if this_slack is not None:
-                this_slack = None  # slack coefficient is now -1: unusable as basis
-        if this_slack is not None:
-            basis.append(this_slack)
+        if artificial:
+            line[art] = _mpq(1)
+            basis.append(art)
+            art += 1
         else:
-            acol = ncols + slack_cols + i
-            line[acol] = _mpq(1)
-            art_cols.append(acol)
-            basis.append(acol)
-        tableau.append(line)
+            basis.append(slack - 1)
+        rows.append(line)
 
-    # Phase 1: maximize -(sum of artificials).
-    if art_cols:
-        cost = [_mpq(0)] * (total + 1)
-        for c in art_cols:
-            cost[c] = _mpq(-1)
-        for i, b in enumerate(basis):
-            if cost[b]:
-                f = cost[b]
-                for j in range(total + 1):
-                    cost[j] -= f * tableau[i][j]
-        status = _simplex(tableau, basis, cost, total)
-        # Phase 1 is always bounded below by 0.
-        if -cost[total] != 0:
+    if art > real:
+        # Phase 1: maximize -(sum of artificials); it is bounded above by 0.
+        _price(rows, basis, [_mpq(0)] * real + [_mpq(-1)] * (art - real) + [_mpq(0)])
+        _simplex(rows, basis)
+        if rows.pop()[-1] != 0:
             return LpOutcome(status="infeasible")
-        # Pivot any artificial still in the basis out (or drop its row).
-        for i in range(nrows):
-            if basis[i] in art_cols:
-                for j in range(ncols + slack_cols):
-                    if tableau[i][j] != 0:
-                        _pivot(tableau, cost, basis, i, j, total)
-                        break
-        keep = [i for i in range(len(basis)) if basis[i] not in art_cols]
-        tableau = [tableau[i] for i in keep]
+        # Pivot every artificial still basic out of the basis, or drop its
+        # row, then slice the artificial columns off.
+        for i, b in enumerate(basis):
+            if b >= real:
+                enter = next((j for j in range(real) if rows[i][j] != 0), None)
+                if enter is not None:
+                    _pivot(rows, i, enter)
+                    basis[i] = enter
+        keep = [i for i, b in enumerate(basis) if b < real]
+        rows = [rows[i][:real] + rows[i][-1:] for i in keep]
         basis = [basis[i] for i in keep]
 
-    # Phase 2: forbid re-entry of artificial columns by zeroing them.
-    for line in tableau:
-        for c in art_cols:
-            line[c] = _mpq(0)
-    cost = list(obj) + [_mpq(0)] * (slack_cols + nrows) + [_mpq(0)]
-    for i, b in enumerate(basis):
-        if cost[b]:
-            f = cost[b]
-            for j in range(total + 1):
-                cost[j] -= f * tableau[i][j]
-    status = _simplex(tableau, basis, cost, total)
-    if status == "unbounded":
+    # Phase 2.
+    _price(rows, basis, [_q(c) for c in lp.objective] + [_mpq(0)] * (nslack + 1))
+    if _simplex(rows, basis) == "unbounded":
         return LpOutcome(status="unbounded")
-
-    yvals = [_mpq(0)] * total
+    solution = [Fraction(0)] * nvar
     for i, b in enumerate(basis):
-        yvals[b] = tableau[i][total]
-    solution = []
-    for k in range(nvar):
-        kind = col_of[k]
-        if kind[0] == "shift":
-            v = yvals[kind[1]] + _mpq(kind[2].numerator, kind[2].denominator)
-        else:
-            v = yvals[kind[1]] - yvals[kind[2]]
-        solution.append(Fraction(v.numerator, v.denominator))
-    value = -cost[total] + obj_shift
+        if b < nvar:
+            solution[b] = _fraction(rows[i][-1])
     return LpOutcome(
         status="optimal",
-        value=Fraction(value.numerator, value.denominator),
+        value=_fraction(-rows[-1][-1]),
         solution=tuple(solution),
     )
+
+
+def row_reduce(rows, rhs, pivot_cols):
+    """Gauss-Jordan reduction of ``rows · x = rhs``, pivoting only in
+    ``pivot_cols``, taken in that order.
+
+    Returns the independent reduced (row, rhs) pairs, one per pivot.  A row
+    that vanishes on the pivot columns must have zero rhs (the other columns
+    belong to variables fixed at 0); otherwise raises ``ValueError``.
+    """
+    work = [list(r) + [v] for r, v in zip(rows, rhs)]
+    r = 0
+    for c in pivot_cols:
+        if r == len(work):
+            break
+        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        _pivot(work, r, c)
+        r += 1
+    if any(row[-1] != 0 for row in work[r:]):
+        raise ValueError("inconsistent linear system")
+    return [(tuple(row[:-1]), row[-1]) for row in work[:r]]

@@ -354,92 +354,64 @@ def egal_rule(P: Problem):
             frozen[j] = t
             unfrozen.discard(j)
 
-    start = _split(classes, zstar, m)
-    full_rows = [tuple(Fraction(mask >> a & 1) for a in range(m)) for _, mask in types]
-    mix = _min_norm_mixture(full_rows, [frozen[j] for j in range(k)], m, start=start)
+    sizes = [len(cls) for cls in classes]
+    w = _min_norm_weights(rows, [frozen[j] for j in range(k)], sizes, zstar)
+    mix = Mixture(tuple(_split(classes, w, m)))
     return utilities(P, mix), mix
 
 
-def _row_reduce_restricted(rows, rhs, pivot_cols):
-    """Row echelon reduction choosing pivots only among ``pivot_cols``.
+def _min_norm_weights(rows, vals, sizes, start) -> list:
+    """The class weights w >= 0 with sum w = 1 and rows . w = vals that
+    minimize sum w_c^2 / sizes[c].
 
-    Returns the independent reduced (full row, rhs) pairs; rows that vanish
-    on the pivot columns must have zero rhs (the other columns correspond to
-    variables fixed at 0), otherwise the system is inconsistent.
+    A class of s outcomes holding weight w adds at least w^2/s to the squared
+    norm of a mixture, with equality exactly when w is split uniformly, so
+    ``_split`` of the result is the minimum-Euclidean-norm mixture with the
+    given utilities.  That point is unique, hence invariant under any
+    relabeling symmetry of the input.  Primal active-set iteration from the
+    feasible ``start``.
     """
-    work = [list(r) + [v] for r, v in zip(rows, rhs)]
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in pivot_cols:
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == len(work):
-            break
-    for i in range(r, len(work)):
-        if work[i][ncols] != 0:
-            raise ValueError("inconsistent linear system")
-    return [(tuple(row[:ncols]), row[ncols]) for row in work[:r]]
+    k = len(sizes)
+    B = [(Fraction(1),) * k, *rows]
+    c = [Fraction(1), *vals]
+    w = list(start)
 
-
-def _min_norm_mixture(util_rows, util_vals, m: int, start) -> Mixture:
-    """The minimum-norm point of {z >= 0, sum z = 1, util_rows . z = util_vals}.
-
-    Primal active-set iteration from the feasible ``start``; the optimum is
-    the unique nearest point to the origin in the polytope, so the result is
-    invariant under any relabeling symmetry of the input.
-    """
-    B = [tuple(Fraction(1) for _ in range(m))] + [tuple(r) for r in util_rows]
-    c = [Fraction(1)] + [Fraction(v) for v in util_vals]
-    z = [Fraction(x) for x in start]
-
-    working = {a for a in range(m) if z[a] == 0}
-    for _ in range(4 * (m + 2) * (m + 2) + 16):
-        free = [a for a in range(m) if a not in working]
-        reduced = _row_reduce_restricted(B, c, free)
+    working = {a for a in range(k) if w[a] == 0}
+    for _ in range(4 * (k + 2) * (k + 2) + 16):
+        free = [a for a in range(k) if a not in working]
+        reduced = lp.row_reduce(B, c, free)
         gram = [
-            [sum(r1[a] * r2[a] for a in free) for r2, _ in reduced]
+            [sum(sizes[a] * r1[a] * r2[a] for a in free) for r2, _ in reduced]
             for r1, _ in reduced
         ]
         # the Gram matrix is nonsingular: full reduction leaves the solution
-        solved = _row_reduce_restricted(gram, [v for _, v in reduced], range(len(gram)))
-        w = [v for _, v in solved]
-        z_eq = [Fraction(0)] * m
-        for a in free:
-            z_eq[a] = sum(wi * row[a] for wi, (row, _) in zip(w, reduced))
-        if all(z_eq[a] >= 0 for a in free):
-            # dual check on the working set: mu_a = -(B^T lambda)_a >= 0
-            bad = None
-            for a in sorted(working):
-                grad = sum(wi * row[a] for wi, (row, _) in zip(w, reduced))
-                if grad > 0:
-                    bad = a
-                    break
+        solved = lp.row_reduce(gram, [v for _, v in reduced], range(len(gram)))
+        # grad = B^T lambda; on the free classes w_eq = sizes * grad
+        grad = [
+            sum(v * row[a] for (_, v), (row, _) in zip(solved, reduced))
+            for a in range(k)
+        ]
+        w_eq = [Fraction(0) if a in working else sizes[a] * grad[a] for a in range(k)]
+        if all(w_eq[a] >= 0 for a in free):
+            # dual check on the working set: mu_a = -grad_a >= 0
+            bad = next((a for a in sorted(working) if grad[a] > 0), None)
             if bad is None:
-                return Mixture(tuple(z_eq))
+                return w_eq
             working.discard(bad)
-            z = z_eq
+            w = w_eq
             continue
-        # line search from z toward z_eq, stop at the first blocking zero
+        # line search from w toward w_eq, stop at the first blocking zero
         alpha = Fraction(1)
         blocker = None
         for a in free:
-            if z_eq[a] < 0:
-                step = z[a] / (z[a] - z_eq[a])
+            if w_eq[a] < 0:
+                step = w[a] / (w[a] - w_eq[a])
                 if step < alpha:
                     alpha = step
                     blocker = a
-        z = [z[a] + alpha * (z_eq[a] - z[a]) for a in range(m)]
+        w = [w[a] + alpha * (w_eq[a] - w[a]) for a in range(k)]
         if blocker is not None:
-            z[blocker] = Fraction(0)
+            w[blocker] = Fraction(0)
             working.add(blocker)
     raise RuntimeError("active-set iteration failed to converge")  # pragma: no cover
 
@@ -754,11 +726,13 @@ def h_rule(
     |q| * U^(q-1).  The objective is strictly concave in utilities, so the
     optimal utility profile is unique.
     """
-    q = Fraction(q)
+    q, tol = Fraction(q), Fraction(tol)
     if q >= 1 or q == 0:
         raise ValueError("h_rule requires q < 1 and q != 0")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     solver = _PowerWelfare(P, float(q))
-    zf, iterations, converged, gap = solver.solve(float(Fraction(tol)))
+    zf, iterations, converged, gap = solver.solve(float(tol))
     return HRuleSolution(
         z=solver.mixture(zf),
         gap=Fraction(gap).limit_denominator(10**15),

@@ -18,6 +18,7 @@ from fairmix.core import (
     interval_structure,
     is_efficient,
     parse_mixture,
+    parse_rational,
     parse_problem,
     undominated_outcomes,
     utilities,
@@ -131,6 +132,16 @@ def test_mixture_round_trip():
     text = format_mixture(z)
     assert text == "1/5 1/10 1/10 3/5 0/1"
     assert parse_mixture(text) == z
+
+
+def test_parse_rational():
+    assert parse_rational("-3/6") == F(-1, 2)
+    assert parse_rational("0.25") == F(1, 4)
+    for bad in ("1/0", "abc", ""):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    with pytest.raises(ValueError):
+        parse_mixture("1/0 1")
 
 
 # ---------------------------------------------------------------- utilities

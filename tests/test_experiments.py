@@ -71,11 +71,11 @@ def test_grid_validation():
         RatioCell(min_ratio=F(3, 4), avg_ratio=F(1, 2))
 
 
-def test_run_grid_deterministic_and_jobs_invariant():
+def test_run_grid_deterministic():
     g = ExperimentGrid((3, 4), (3,), draws=10, seed=7,
                        rules=(rules.CUT, rules.RP))
     first = run_grid(g)
-    second = run_grid(g, jobs=4)
+    second = run_grid(g)
     assert first == second
     assert grid_to_csv(first) == grid_to_csv(second)
 
