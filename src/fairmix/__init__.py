@@ -29,7 +29,6 @@ from .rules import (
     HRULE,
     NMP,
     RP,
-    RP_MC,
     UTIL,
     NmpSolution,
     RuleId,
@@ -40,7 +39,6 @@ from .rules import (
     kkt_residual,
     nmp_rule,
     rp_exact,
-    rp_monte_carlo,
     sigma_priority,
     util_rule,
 )

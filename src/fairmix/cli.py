@@ -52,19 +52,15 @@ _RULE_NAMES = {
 }
 
 
-def _parse_rule(args) -> rules.RuleId:
-    name = args.rule.lower()
-    if name in _RULE_NAMES:
-        return _RULE_NAMES[name]
-    if name == "rp-mc":
-        if args.samples is None:
-            raise ValueError("rp-mc needs --samples")
-        return rules.RP_MC(args.samples, args.seed)
-    if name == "hrule":
-        if args.q is None:
+def _parse_rule(name: str, q) -> rules.RuleId:
+    key = name.lower()
+    if key in _RULE_NAMES:
+        return _RULE_NAMES[key]
+    if key == "hrule":
+        if q is None:
             raise ValueError("hrule needs --q")
-        return rules.HRULE(core.parse_rational(args.q))
-    raise ValueError(f"unknown rule {args.rule!r}")
+        return rules.HRULE(core.parse_rational(q))
+    raise ValueError(f"unknown rule {name!r}")
 
 
 def _add_problem_args(sub) -> None:
@@ -73,15 +69,13 @@ def _add_problem_args(sub) -> None:
 
 
 def _add_rule_args(sub, required: bool) -> None:
-    sub.add_argument("--rule", required=required, help="util|egal|rp|rp-mc|cut|nmp|hrule")
+    sub.add_argument("--rule", required=required, help="util|egal|rp|cut|nmp|hrule")
     sub.add_argument("--q", help="exponent for hrule (rational, q<1, q!=0)")
-    sub.add_argument("--samples", type=int, help="sample count for rp-mc")
-    sub.add_argument("--seed", type=int, default=0, help="seed for rp-mc")
 
 
 def _cmd_solve(args) -> int:
     P = _load_problem(args)
-    rule = _parse_rule(args)
+    rule = _parse_rule(args.rule, args.q)
     _, z = rules.evaluate(rule, P)
     print(_format_vector(z.z, args.float))
     return 0
@@ -103,7 +97,7 @@ def _cmd_check(args) -> int:
     rule = None
     rule_label = "-"
     if args.rule is not None:
-        rule = _parse_rule(args)
+        rule = _parse_rule(args.rule, args.q)
         rule_label = str(rule)
 
     if axiom in _SP_AXIOMS or axiom in ("part", "part*", "dec"):
@@ -145,10 +139,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rule_ids = []
-    for name in args.rules.split(","):
-        stub = argparse.Namespace(rule=name, q=args.q, samples=args.samples, seed=args.seed)
-        rule_ids.append(_parse_rule(stub))
+    rule_ids = [_parse_rule(name, args.q) for name in args.rules.split(",")]
     grid = experiments.ExperimentGrid(
         agent_counts=tuple(int(x) for x in args.agents.split(",")),
         outcome_counts=tuple(int(x) for x in args.outcomes.split(",")),
@@ -284,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--rules", required=True, help="comma-separated rule names")
     s.add_argument("--q", help="exponent if hrule is among the rules")
-    s.add_argument("--samples", type=int, help="samples if rp-mc is among the rules")
     s.add_argument("--output", help="CSV file (default: stdout)")
     s.set_defaults(func=_cmd_table)
 

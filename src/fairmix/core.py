@@ -341,15 +341,26 @@ def undominated_outcomes(P: Problem) -> set:
     return result
 
 
+def _type_floors(P: Problem, U: UtilityProfile) -> list:
+    """One (0/1 row, largest U_i) pair per agent type, in ``P.types`` order.
+
+    Agents sharing a like-set get the same utility from any mixture, so the
+    largest of their ``U_i`` is the one floor that binds for all of them.
+    """
+    floors: dict = {}
+    for i in range(P.n):
+        mask = P.like_mask(i)
+        floors[mask] = max(floors.get(mask, U[i]), U[i])
+    return [
+        (tuple(Fraction(mask >> a & 1) for a in range(P.m)), floor)
+        for mask, floor in floors.items()
+    ]
+
+
 def _efficiency_lp(P: Problem, U: UtilityProfile) -> lp.LinearProgram:
     # maximize sum_i (u_i . z' - U_i)  s.t.  u_i . z' >= U_i, z' in simplex
-    objective = tuple(
-        Fraction(sum(P.u[i][a] for i in range(P.n))) for a in range(P.m)
-    )
-    constraints = [
-        (tuple(Fraction(P.u[i][a]) for a in range(P.m)), lp.GE, U[i])
-        for i in range(P.n)
-    ]
+    objective = tuple(Fraction(P.column_sum(a)) for a in range(P.m))
+    constraints = [(row, lp.GE, floor) for row, floor in _type_floors(P, U)]
     constraints.append(((Fraction(1),) * P.m, lp.EQ, Fraction(1)))
     return lp.LinearProgram(objective=objective, constraints=tuple(constraints))
 
@@ -406,10 +417,10 @@ def epsilon_inefficiency(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    # variables z'_0..z'_{m-1}, t: maximize t s.t. u_i . z' - t * U_i >= 0
+    # variables z'_0..z'_{m-1}, t >= 0: maximize t s.t. u_i . z' - t * U_i >= 0,
+    # one row per type at its largest U_i
     constraints = [
-        (tuple(Fraction(P.u[i][a]) for a in range(P.m)) + (-U[i],), lp.GE, Fraction(0))
-        for i in range(P.n)
+        (row + (-floor,), lp.GE, Fraction(0)) for row, floor in _type_floors(P, U)
     ]
     constraints.append(((Fraction(1),) * P.m + (Fraction(0),), lp.EQ, Fraction(1)))
     prog = lp.LinearProgram(

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import functools
 import math
-import random
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -42,7 +40,6 @@ __all__ = [
     "RP",
     "CUT",
     "NMP",
-    "RP_MC",
     "HRULE",
     "NmpSolution",
     "HRuleSolution",
@@ -50,17 +47,18 @@ __all__ = [
     "cut_rule",
     "sigma_priority",
     "rp_exact",
-    "rp_monte_carlo",
     "egal_rule",
     "nmp_rule",
     "h_rule",
     "kkt_residual",
     "evaluate",
-    "RP_MAX_AGENTS",
+    "RP_STEP_BUDGET",
     "DEFAULT_NMP_TOL",
 ]
 
-RP_MAX_AGENTS = 10
+# Random priority's DP steps (feasible sets reached x agent types) that
+# rp_exact accepts: 2^10 sets and 10 types bound every profile with n <= 10.
+RP_STEP_BUDGET = 10 * 2**10
 DEFAULT_NMP_TOL = Fraction(1, 10**9)
 _ITERATION_CAP = 10**6
 _SNAP = 1e-13  # numeric coordinates below this are treated as exact zeros
@@ -70,17 +68,15 @@ _SNAP = 1e-13  # numeric coordinates below this are treated as exact zeros
 class RuleId:
     """Identifier of a mixing rule, usable as a cache key.
 
-    ``kind`` is one of UTIL, EGAL, RP, RP_MC, CUT, NMP, HRULE.  HRULE carries
-    its exponent ``q``; RP_MC carries sample count and seed.
+    ``kind`` is one of UTIL, EGAL, RP, CUT, NMP, HRULE.  HRULE carries its
+    exponent ``q``.
     """
 
     kind: str
     q: Optional[Fraction] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in {"UTIL", "EGAL", "RP", "RP_MC", "CUT", "NMP", "HRULE"}:
+        if self.kind not in {"UTIL", "EGAL", "RP", "CUT", "NMP", "HRULE"}:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind == "HRULE":
             if self.q is None:
@@ -89,11 +85,6 @@ class RuleId:
             if q >= 1 or q == 0:
                 raise ValueError("HRULE exponent must satisfy q < 1, q != 0")
             object.__setattr__(self, "q", q)
-        if self.kind == "RP_MC":
-            if not isinstance(self.samples, int) or self.samples < 1:
-                raise ValueError("RP_MC needs an integer sample count >= 1")
-            if self.seed is None:
-                raise ValueError("RP_MC needs a seed")
 
     def __str__(self) -> str:
         if self.kind == "HRULE":
@@ -106,10 +97,6 @@ EGAL = RuleId("EGAL")
 RP = RuleId("RP")
 CUT = RuleId("CUT")
 NMP = RuleId("NMP")
-
-
-def RP_MC(samples: int, seed: int) -> RuleId:
-    return RuleId("RP_MC", samples=samples, seed=seed)
 
 
 def HRULE(q) -> RuleId:
@@ -240,6 +227,30 @@ def sigma_priority(P: Problem, order: Sequence[int]):
     return utilities(P, mix), mix
 
 
+def _rp_moves(types, m: int) -> dict:
+    """Every feasible set the RP DP reaches from the full set, mapped to its
+    live moves: (count, next feasible set) per type whose like-set splits it.
+
+    Plain integer work, stopped with ``ValueError`` as soon as the states
+    reached times the number of types exceed ``RP_STEP_BUDGET``.
+    """
+    moves: dict = {}
+    todo = [(1 << m) - 1]
+    while todo:
+        feasible = todo.pop()
+        if feasible in moves:
+            continue
+        if (len(moves) + 1) * len(types) > RP_STEP_BUDGET:
+            raise ValueError(
+                f"random priority needs more than {RP_STEP_BUDGET} DP steps "
+                f"(feasible sets x {len(types)} agent types)"
+            )
+        live = [(c, feasible & mask) for c, mask in types]
+        moves[feasible] = [(c, nxt) for c, nxt in live if nxt not in (0, feasible)]
+        todo.extend(nxt for _, nxt in moves[feasible])
+    return moves
+
+
 def rp_exact(P: Problem):
     """Random priority: the exact average of sigma-priority over all n! orders.
 
@@ -248,58 +259,27 @@ def rp_exact(P: Problem):
     change F, now or after F shrinks.  Every agent already passed in the
     order is inert, since it either cut F down to its like-set or was
     skipped.  So the next agent to act is uniform over the live agents, whose
-    like-sets split F, drawn by type and weighted by count; the memo needs no
-    record of who has passed and holds at most 2^m states.  Capped at
-    n <= 10; the rule is #P-hard in general.
+    like-sets split F, drawn by type and weighted by count; the DP needs no
+    record of who has passed.  Its states are counted first, and a profile
+    over ``RP_STEP_BUDGET`` is refused before any rational arithmetic; the
+    rule is #P-hard in general.  States are filled smallest first, as every
+    move leads to a strict subset.
     """
-    if P.n > RP_MAX_AGENTS:
-        raise ValueError(f"rp_exact is capped at n <= {RP_MAX_AGENTS}")
-    types, m = P.types, P.m
-
-    @functools.lru_cache(maxsize=None)
-    def average(feasible: int):
-        live = [(c, feasible & mask) for c, mask in types]
-        live = [(c, nxt) for c, nxt in live if nxt not in (0, feasible)]
+    m = P.m
+    moves = _rp_moves(P.types, m)
+    average = {}
+    for feasible in sorted(moves, key=int.bit_count):
+        live = moves[feasible]
         if not live:
-            return _uniform_on(feasible, m)
+            average[feasible] = _uniform_on(feasible, m)
+            continue
         total = [Fraction(0)] * m
         for c, nxt in live:
-            for a, x in enumerate(average(nxt)):
+            for a, x in enumerate(average[nxt]):
                 total[a] += c * x
         weight = sum(c for c, _ in live)
-        return tuple(x / weight for x in total)
-
-    z = average((1 << m) - 1)
-    average.cache_clear()
-    mix = Mixture(z)
-    return utilities(P, mix), mix
-
-
-def rp_monte_carlo(P: Problem, samples: int, seed: int):
-    """Estimate the random-priority mixture from uniformly drawn orders.
-
-    Deterministic for a fixed seed: the estimate is the exact rational
-    average of the sampled sigma-priority mixtures.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = random.Random(seed)
-    masks = [P.like_mask(i) for i in range(P.n)]
-    full = (1 << P.m) - 1
-    final_counts = Counter()
-    order = list(range(P.n))
-    for _ in range(samples):
-        rng.shuffle(order)
-        feasible = full
-        for i in order:
-            if feasible & masks[i]:
-                feasible &= masks[i]
-        final_counts[feasible] += 1
-    z = [Fraction(0)] * P.m
-    for feasible, c in final_counts.items():
-        for a, x in enumerate(_uniform_on(feasible, P.m)):
-            z[a] += x * Fraction(c, samples)
-    mix = Mixture(tuple(z))
+        average[feasible] = tuple(x / weight for x in total)
+    mix = Mixture(average[(1 << m) - 1])
     return utilities(P, mix), mix
 
 
@@ -754,8 +734,6 @@ def evaluate(rule: RuleId, P: Problem):
         return cut_rule(P)
     if rule.kind == "RP":
         return rp_exact(P)
-    if rule.kind == "RP_MC":
-        return rp_monte_carlo(P, rule.samples, rule.seed)
     if rule.kind == "EGAL":
         return egal_rule(P)
     if rule.kind == "NMP":

@@ -49,10 +49,18 @@ def test_solve_round_trips_into_check(capsys):
     assert "result=pass" in out2
 
 
-def test_solve_rpmc_needs_samples(capsys):
-    code, _, err = run(capsys, "solve", "--rule", "rp-mc", "--fixture", "ex3")
-    assert code == 2
-    assert "samples" in err
+def test_solve_rp_beyond_ten_agents(capsys):
+    code, out, _ = run(capsys, "solve", "--rule", "rp", "--fixture", "appendix860")
+    assert code == 0
+    assert core.parse_mixture(out).m == 4
+
+
+def test_check_eff_on_appendix860(capsys):
+    # 860 agents of few types: one efficiency LP row per type
+    code, out, _ = run(capsys, "check", "--axiom", "eff", "--rule", "nmp",
+                       "--fixture", "appendix860")
+    assert code == 0
+    assert "result=pass" in out
 
 
 def test_solve_hrule(capsys):
@@ -146,9 +154,11 @@ def test_table_csv_deterministic(capsys, tmp_path):
 
 
 def test_table_rp_cap(capsys):
-    code, _, err = run(capsys, "table", "--agents", "12", "--outcomes", "3",
-                       "--draws", "2", "--rules", "rp")
+    # the first draw at n=30, m=16 for seed 0 is over random priority's budget
+    code, _, err = run(capsys, "table", "--agents", "30", "--outcomes", "16",
+                       "--draws", "1", "--seed", "0", "--rules", "rp")
     assert code == 2
+    assert "DP steps" in err
 
 
 # ---------------------------------------------------------------- construct

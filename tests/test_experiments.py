@@ -65,8 +65,11 @@ def test_welfare_ratio_rp_on_ex5():
 def test_grid_validation():
     with pytest.raises(ValueError):
         ExperimentGrid((3,), (3,), draws=0, seed=1, rules=(rules.CUT,))
-    with pytest.raises(ValueError):
-        ExperimentGrid((12,), (3,), draws=1, seed=1, rules=(rules.RP,))
+    for agents, outcomes in (((7, 0), (5,)), ((3,), (4, 0)), ((-1,), (3,))):
+        with pytest.raises(ValueError):
+            ExperimentGrid(agents, outcomes, draws=1, seed=1, rules=(rules.CUT,))
+    # random priority is bounded by its own work budget, not by n
+    ExperimentGrid((12,), (3,), draws=1, seed=1, rules=(rules.RP,))
     with pytest.raises(ValueError):
         RatioCell(min_ratio=F(3, 4), avg_ratio=F(1, 2))
 
