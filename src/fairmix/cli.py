@@ -94,11 +94,8 @@ _SP_AXIOMS = {
 def _cmd_check(args) -> int:
     P = _load_problem(args)
     axiom = args.axiom.lower()
-    rule = None
-    rule_label = "-"
-    if args.rule is not None:
-        rule = _parse_rule(args.rule, args.q)
-        rule_label = str(rule)
+    rule = None if args.rule is None else _parse_rule(args.rule, args.q)
+    rule_label = "-" if rule is None else str(rule)
 
     if axiom in _SP_AXIOMS or axiom in ("part", "part*", "dec"):
         if rule is None:
@@ -112,13 +109,13 @@ def _cmd_check(args) -> int:
         else:
             verdict = axioms.check_participation(rule, P, strict=axiom == "part*")
     elif axiom in _COALITION_AXIOMS:
-        if args.mixture is not None:
-            z = core.parse_mixture(args.mixture)
-            U = core.utilities(P, z)
-        elif rule is not None:
+        if (rule is None) == (args.mixture is None):
+            raise ValueError(f"--axiom {axiom} needs --rule or --mixture, not both")
+        if rule is not None:
             U, z = rules.evaluate(rule, P)
         else:
-            raise ValueError(f"--axiom {axiom} needs --rule or --mixture")
+            z = core.parse_mixture(args.mixture)
+            U = core.utilities(P, z)
         if axiom == "ifs":
             verdict = axioms.check_ifs(P, U)
         elif axiom == "ufs":

@@ -4,7 +4,7 @@ A small dense two-phase primal simplex over exact rationals, for programs
 ``maximize c·x`` subject to rows ``a·x (rel) b`` with every variable
 ``x >= 0``.  It is the single optimization backend for the efficiency
 check, the epsilon-inefficiency LP, the core-fair-share checker, and the
-egalitarian rule's round and probe LPs.
+egalitarian rule's leximin rounds, which read an optimal outcome's ``duals``.
 
 ``_pivot`` is the one exact Gauss-Jordan step in the library: the simplex
 pivots with it, and ``row_reduce`` (the elimination behind the egalitarian
@@ -69,6 +69,7 @@ class LpOutcome:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction] = None
     solution: Optional[tuple] = None
+    duals: Optional[tuple] = None  # per row: >= 0 on "<=", <= 0 on ">=", None on "="
 
 
 def _q(x):
@@ -188,10 +189,18 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     for i, b in enumerate(basis):
         if b < nvar:
             solution[b] = _fraction(rows[i][-1])
+    # row i's slack column is +e_i ("<=") or -e_i (">="), whatever sign the
+    # row was stored with, so its reduced cost is -y_i or +y_i
+    costs = iter(rows[-1][nvar:real])
+    duals = tuple(
+        None if rel == EQ else _fraction(next(costs) * (-1 if rel == LE else 1))
+        for _, rel, _ in lp.constraints
+    )
     return LpOutcome(
         status="optimal",
         value=_fraction(-rows[-1][-1]),
         solution=tuple(solution),
+        duals=duals,
     )
 
 

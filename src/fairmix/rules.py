@@ -288,28 +288,29 @@ def rp_exact(P: Problem):
 
 
 def egal_rule(P: Problem):
-    """Leximin-optimal utilities via iterated exact LPs.
+    """Leximin-optimal utilities via iterated exact LPs, one LP per round.
 
-    Round k maximizes a common floor t for the not-yet-frozen agents, then
-    freezes every tight agent whose utility provably cannot exceed t (tested
-    with one secondary LP each).  O(n^2) LPs overall, everything exact.
-    The LPs run over agent types and outcome classes: clones always share
-    one utility, and only a class's total weight matters to anybody.
+    A round maximizes a common floor t for the unfrozen agents and freezes
+    at t those whose floor row has a nonzero dual: by complementary
+    slackness they sit at t at every optimum (Ogryczak & Sliwinski 2006).
+    At most k LPs for k agent types, everything exact.  The LPs run over
+    types and outcome classes: clones always share one utility, and only a
+    class's total weight matters to anybody.
     """
     types, m = P.types, P.m
     classes = [cls for cls, _ in _outcome_classes(types, m)]
     rows = [tuple(Fraction(mask >> cls[0] & 1) for cls in classes) for _, mask in types]
     k, width = len(rows), len(classes)
     simplex_row = ((Fraction(1),) * width + (Fraction(0),), lp.EQ, Fraction(1))
+    objective = (Fraction(0),) * width + (Fraction(1),)
 
     frozen = {}  # type index -> utility
-    unfrozen = set(range(k))
+    unfrozen = list(range(k))
     zstar = None
     while unfrozen:
         # variables: one weight per outcome class, then t
         fixed = [(rows[j] + (Fraction(0),), lp.EQ, val) for j, val in frozen.items()]
         floor = [(rows[j] + (Fraction(-1),), lp.GE, Fraction(0)) for j in unfrozen]
-        objective = (Fraction(0),) * width + (Fraction(1),)
         out = lp.solve_lp(
             lp.LinearProgram(objective, tuple([simplex_row] + floor + fixed))
         )
@@ -317,22 +318,12 @@ def egal_rule(P: Problem):
             raise RuntimeError(f"leximin round LP is {out.status}")
         t = out.value
         zstar = out.solution[:width]
-        at_floor = [(rows[i] + (Fraction(0),), lp.GE, t) for i in unfrozen]
-        probe_rows = tuple([simplex_row] + at_floor + fixed)
-        newly = []
-        for j in unfrozen:
-            if sum(w for w, liked in zip(zstar, rows[j]) if liked) > t:
-                continue  # already above the floor at the found vertex
-            probe = lp.solve_lp(lp.LinearProgram(rows[j] + (Fraction(0),), probe_rows))
-            if probe.status != "optimal":
-                raise RuntimeError(f"leximin probe LP is {probe.status}")
-            if probe.value == t:
-                newly.append(j)
+        # t's reduced cost 1 + (sum of floor duals) is <= 0, so one is nonzero
+        newly = [j for j, y in zip(unfrozen, out.duals[1:]) if y != 0]
         if not newly:
             raise RuntimeError("leximin round must freeze at least one agent")
-        for j in newly:
-            frozen[j] = t
-            unfrozen.discard(j)
+        frozen.update(dict.fromkeys(newly, t))
+        unfrozen = [j for j in unfrozen if j not in frozen]
 
     sizes = [len(cls) for cls in classes]
     w = _min_norm_weights(rows, [frozen[j] for j in range(k)], sizes, zstar)

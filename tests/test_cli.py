@@ -124,6 +124,18 @@ def test_check_requires_rule_or_mixture(capsys):
     assert code2 == 2
 
 
+def test_check_rule_with_mixture_is_a_usage_error(capsys):
+    # the verdict would be the mixture's but labelled with the rule; EGAL
+    # always satisfies IFS, the point mass on outcome a does not
+    for axiom in ("ifs", "eff"):
+        code, out, err = run(capsys, "check", "--axiom", axiom, "--rule", "egal",
+                             "--mixture", "1 0 0", "--fixture", "egal-true")
+        assert code == 2 and out == "" and "not both" in err
+    code, out, _ = run(capsys, "check", "--axiom", "ifs", "--rule", "egal",
+                       "--fixture", "egal-true")
+    assert code == 0 and "result=pass" in out
+
+
 def test_check_unknown_axiom(capsys):
     code, _, err = run(capsys, "check", "--axiom", "bogus", "--rule", "cut",
                        "--fixture", "ex3")

@@ -104,6 +104,12 @@ def test_strong_duality_spot_check():
         ))
         if primal.status == "optimal" and dual.status == "optimal":
             assert primal.value == -dual.value
+            # the primal's own duals are an exact optimal dual solution
+            y = primal.duals
+            assert all(yi >= 0 for yi in y)
+            assert all(sum(A[i][j] * y[i] for i in range(nc)) >= c[j]
+                       for j in range(nv))
+            assert sum(bi * yi for bi, yi in zip(b, y)) == primal.value
             optimal_pairs += 1
         elif primal.status == "optimal":
             assert dual.status != "infeasible"
@@ -130,13 +136,17 @@ def test_optimal_solution_satisfies_constraints_exactly():
         x = out.solution
         assert all(v >= 0 for v in x)
         assert sum(ci * xi for ci, xi in zip(obj, x)) == out.value
-        for row, rel, rhs in cons:
+        assert len(out.duals) == len(cons)
+        for (row, rel, rhs), y in zip(cons, out.duals):
             lhs = sum(r * xi for r, xi in zip(row, x))
+            assert (y is None) == (rel == lp.EQ)
             if rel == lp.LE:
-                assert lhs <= rhs
+                assert lhs <= rhs and y >= 0
             elif rel == lp.GE:
-                assert lhs >= rhs
+                assert lhs >= rhs and y <= 0
             else:
+                assert lhs == rhs
+            if y:  # complementary slackness
                 assert lhs == rhs
 
 

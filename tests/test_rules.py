@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairmix import core, generators, lp, rules
+from fairmix import core, experiments, generators, lp, rules
 from fairmix.core import Mixture, Problem, TypedProfile, utilities
 from fairmix.rules import (
     CUT,
@@ -174,13 +174,14 @@ def test_rp_matches_explicit_enumeration():
 
 
 @st.composite
-def _nested_profiles(draw):
-    """Up to 6 agents over up to 5 outcomes, like-sets drawn from the pairwise
-    intersections of at most 3 base like-sets, so they repeat and nest."""
+def _nested_profiles(draw, max_agents=6):
+    """Up to ``max_agents`` agents over up to 5 outcomes, like-sets drawn from
+    the pairwise intersections of at most 3 base like-sets, so they repeat
+    and nest."""
     m = draw(st.integers(1, 5))
     base = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=3))
     pool = sorted({a & b for a in base for b in base} - {0})
-    masks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    masks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_agents))
     return Problem(tuple(tuple(k >> a & 1 for a in range(m)) for k in masks))
 
 
@@ -278,6 +279,74 @@ def test_egal_failed_lp_raises(monkeypatch):
     monkeypatch.setattr(rules.lp, "solve_lp", lambda prog: lp.LpOutcome("infeasible"))
     with pytest.raises(RuntimeError):
         egal_rule(EX3)
+
+
+def test_egal_solves_at_most_one_lp_per_type(monkeypatch):
+    # one LP per leximin round, and every round freezes at least one type
+    calls = []
+
+    def counting(prog, solve=lp.solve_lp):
+        calls.append(prog)
+        return solve(prog)
+
+    monkeypatch.setattr(rules.lp, "solve_lp", counting)
+    problems = [generators.fixture(name) for name in generators.fixture_names()]
+    problems += [experiments.impartial_culture(2 + s % 6, 2 + s // 6 % 4, s)
+                 for s in range(120)]
+    for P in problems:
+        calls.clear()
+        egal_rule(P)
+        assert 1 <= len(calls) <= len(P.types)
+
+
+def _float_leximin(P):
+    """Independent leximin over the per-agent matrix in floating point:
+    HiGHS round LPs, then one probe LP per agent left at the floor."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    u = [[float(x) for x in row] for row in P.u]
+    frozen = {}
+    while len(frozen) < P.n:
+        free = [i for i in range(P.n) if i not in frozen]
+        # agents already fixed keep at least their value (slack for rounding)
+        held = [([-x for x in u[i]], 1e-9 - v) for i, v in frozen.items()]
+        # variables z_1..z_m, t: maximize t with u_i . z >= t for the free ones
+        res = linprog(
+            [0.0] * P.m + [-1.0],
+            A_ub=[[-x for x in u[i]] + [1.0] for i in free]
+                 + [row + [0.0] for row, _ in held],
+            b_ub=[0.0] * len(free) + [b for _, b in held],
+            A_eq=[[1.0] * P.m + [0.0]], b_eq=[1.0],
+            bounds=(0, None), method="highs",
+        )
+        assert res.status == 0
+        t = -res.fun
+        floor = held + [([-x for x in u[i]], 1e-9 - t) for i in free]
+        newly = []
+        for j in free:
+            probe = linprog(
+                [-x for x in u[j]],
+                A_ub=[row for row, _ in floor], b_ub=[b for _, b in floor],
+                A_eq=[[1.0] * P.m], b_eq=[1.0],
+                bounds=(0, None), method="highs",
+            )
+            assert probe.status == 0
+            if -probe.fun <= t + 1e-7:
+                newly.append(j)
+        assert newly
+        for j in newly:
+            frozen[j] = t
+    return [frozen[i] for i in range(P.n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nested_profiles(max_agents=7))
+def test_egal_matches_float_leximin_oracle(P):
+    U, z = egal_rule(P)
+    assert U == utilities(P, z)
+    theirs = _float_leximin(P)
+    # the leximin profile is unique, so agentwise agreement is required,
+    # which is stronger than agreement of the sorted vectors
+    assert all(abs(float(ours) - v) <= 1e-7 for ours, v in zip(U.U, theirs))
 
 
 def test_egal_clone_invariance():
