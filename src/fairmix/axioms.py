@@ -13,7 +13,6 @@ None``) instead of a verdict.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -34,12 +33,12 @@ __all__ = [
     "check_participation",
     "check_dec",
     "format_verdict",
-    "COALITION_MAX_AGENTS",
+    "COALITION_MAX_TYPES",
     "SP_MAX_OUTCOMES",
     "SP_MAX_AGENTS_EXACT",
 ]
 
-COALITION_MAX_AGENTS = 16
+COALITION_MAX_TYPES = 16
 SP_MAX_OUTCOMES = 6
 SP_MAX_AGENTS_EXACT = 8
 
@@ -85,43 +84,25 @@ class Partition:
 def polarized_partition(P: Problem) -> Partition:
     """Connected components of the agent-outcome incidence graph.
 
-    Blocks are ordered by their smallest outcome index.  Outcomes liked by
-    nobody get attached to the last block (they belong to no agent's
-    component and carry no weight under any of the rules checked here).
+    Clone classes whose like-sets meet are merged into one block.  Blocks are
+    ordered by their smallest outcome index.  Outcomes liked by nobody get
+    attached to the last block (they belong to no agent's component and carry
+    no weight under any of the rules checked here).
     """
-    parent = list(range(P.n + P.m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for i in range(P.n):
-        for a in P.like_set(i):
-            union(i, P.n + a)
-    groups = {}
-    for i in range(P.n):
-        groups.setdefault(find(i), [[], []])[0].append(i)
-    orphans = []
-    for a in range(P.m):
-        root = find(P.n + a)
-        if root in groups:
-            groups[root][1].append(a)
-        else:
-            orphans.append(a)
-    blocks = sorted(groups.values(), key=lambda g: min(g[1]))
-    if orphans:
-        blocks[-1][1].extend(orphans)
-        blocks[-1][1].sort()
+    blocks = []  # (outcome mask, agents) with pairwise disjoint masks
+    for mask, agents in P.clone_classes:
+        met = [b for b in blocks if b[0] & mask]
+        blocks = [b for b in blocks if not b[0] & mask]
+        for other, more in met:
+            mask, agents = mask | other, agents + more
+        blocks.append((mask, agents))
+    blocks.sort(key=lambda b: b[0] & -b[0])
+    # the last block also takes the outcomes nobody likes: all outcomes but
+    # those of the other blocks, whose masks are disjoint
+    blocks[-1] = ((1 << P.m) - 1 - sum(b[0] for b in blocks[:-1]), blocks[-1][1])
     return Partition(
-        agent_blocks=tuple(tuple(g[0]) for g in blocks),
-        outcome_blocks=tuple(tuple(g[1]) for g in blocks),
+        agent_blocks=tuple(tuple(sorted(agents)) for _, agents in blocks),
+        outcome_blocks=tuple(_mask_to_tuple(mask) for mask, _ in blocks),
     )
 
 
@@ -129,8 +110,14 @@ def polarized_partition(P: Problem) -> Partition:
 # share axioms
 
 
+def _require_profile_size(P: Problem, U: UtilityProfile) -> None:
+    if U.n != P.n:
+        raise ValueError("utility profile size differs from agent count")
+
+
 def check_ifs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
     """Individual fair share: every agent gets at least 1/n."""
+    _require_profile_size(P, U)
     share = Fraction(1, P.n)
     for i in range(P.n):
         if U[i] < share:
@@ -143,10 +130,8 @@ def check_ifs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
 
 def check_ufs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
     """Unanimity fair share: s identical agents each get at least s/n."""
-    classes = {}
-    for i in range(P.n):
-        classes.setdefault(P.u[i], []).append(i)
-    for members in classes.values():
+    _require_profile_size(P, U)
+    for _, members in P.clone_classes:
         share = Fraction(len(members), P.n)
         for i in members:
             if U[i] < share:
@@ -154,7 +139,7 @@ def check_ufs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
                     passed=False,
                     witness={
                         "agent": i,
-                        "clone_class": tuple(members),
+                        "clone_class": members,
                         "utility": U[i],
                         "required": share,
                     },
@@ -162,38 +147,54 @@ def check_ufs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
     return AxiomVerdict(passed=True)
 
 
-def _require_coalition_scale(P: Problem) -> None:
-    if P.n > COALITION_MAX_AGENTS:
+def _clone_closed_coalitions(P: Problem) -> list:
+    """The 2^k - 1 coalitions that hold every clone of their members.
+
+    Each is a (size, clone classes) pair, where k is the number of classes;
+    they come ordered by size, then lexicographically by their sorted agents.
+    Classes are numbered in order of first appearance, so among coalitions of
+    one size that order is the order of their sorted class numbers.
+    """
+    classes = P.clone_classes
+    k = len(classes)
+    if k > COALITION_MAX_TYPES:
         raise ValueError(
-            f"coalition enumeration is capped at n <= {COALITION_MAX_AGENTS}"
+            f"coalition checks are capped at {COALITION_MAX_TYPES} agent types"
         )
+    picks = []
+    for T in range(1, 1 << k):
+        pick = tuple(t for t in range(k) if T >> t & 1)
+        picks.append((sum(len(classes[t][1]) for t in pick), pick))
+    picks.sort()
+    return [(size, tuple(classes[t] for t in pick)) for size, pick in picks]
+
+
+def _members(coalition: tuple) -> tuple:
+    return tuple(sorted(i for _, agents in coalition for i in agents))
 
 
 def check_gfs(P: Problem, U: UtilityProfile, z: Mixture) -> AxiomVerdict:
-    """Group fair share: the pooled like-set of S carries weight >= |S|/n."""
-    _require_coalition_scale(P)
+    """Group fair share: the pooled like-set of S carries weight >= |S|/n.
+
+    Adding a member's clones to S keeps its pooled like-set and raises |S|,
+    so S violates GFS only if its clone closure does: the clone-closed
+    coalitions, 2^k - 1 for k agent types, decide the verdict.
+    """
+    coalitions = _clone_closed_coalitions(P)
     if utilities(P, z) != U:
         raise ValueError("mixture does not realize the supplied utilities")
-    like = [P.like_mask(i) for i in range(P.n)]
-    or_mask = [0] * (1 << P.n)
-    weight_cache = {}
-    for S in range(1, 1 << P.n):
-        low = S & -S
-        or_mask[S] = or_mask[S ^ low] | like[low.bit_length() - 1]
-        pooled = or_mask[S]
-        w = weight_cache.get(pooled)
-        if w is None:
-            w = sum(
-                (z.z[a] for a in range(P.m) if pooled >> a & 1), _ZERO
-            )
-            weight_cache[pooled] = w
-        share = Fraction(S.bit_count(), P.n)
-        if w < share:
+    for size, coalition in coalitions:
+        pooled = 0
+        for mask, _ in coalition:
+            pooled |= mask
+        weight = sum((z.z[a] for a in range(P.m) if pooled >> a & 1), _ZERO)
+        share = Fraction(size, P.n)
+        if weight < share:
             return AxiomVerdict(
                 passed=False,
                 witness={
-                    "coalition": _mask_to_tuple(S),
-                    "pooled_weight": w,
+                    "coalition": _members(coalition),
+                    "pooled_weight": weight,
                     "required": share,
                 },
             )
@@ -201,31 +202,31 @@ def check_gfs(P: Problem, U: UtilityProfile, z: Mixture) -> AxiomVerdict:
 
 
 def check_afs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerdict:
-    """Average fair share for coalitions with a commonly liked outcome."""
-    _require_coalition_scale(P)
+    """Average fair share for coalitions with a commonly liked outcome.
+
+    Such a coalition lies inside N_a, the agents who like some outcome a, and
+    of the s-agent coalitions inside N_a the s smallest utilities have the
+    least total.  So AFS holds iff, for every a and s, those s utilities sum
+    to at least s^2/n (less ``tol``): one sort per outcome, with no cap.  A
+    failure reports the first such s-agent coalition, by outcome, then s.
+    """
+    _require_profile_size(P, U)
     tol = Fraction(tol)
-    like = [P.like_mask(i) for i in range(P.n)]
-    full = (1 << P.m) - 1
-    and_mask = [full] * (1 << P.n)
-    usum = [_ZERO] * (1 << P.n)
-    for S in range(1, 1 << P.n):
-        low = S & -S
-        i = low.bit_length() - 1
-        and_mask[S] = and_mask[S ^ low] & like[i]
-        usum[S] = usum[S ^ low] + U[i]
-        if and_mask[S] == 0:
-            continue
-        s = S.bit_count()
-        required = Fraction(s * s, P.n)
-        if usum[S] < required - tol:
-            return AxiomVerdict(
-                passed=False,
-                witness={
-                    "coalition": _mask_to_tuple(S),
-                    "total_utility": usum[S],
-                    "required_total": required,
-                },
-            )
+    for a in range(P.m):
+        liking = sorted((i for i in range(P.n) if P.u[i][a]), key=U.__getitem__)
+        total = _ZERO
+        for s, i in enumerate(liking, 1):
+            total += U[i]
+            required = Fraction(s * s, P.n)
+            if total < required - tol:
+                return AxiomVerdict(
+                    passed=False,
+                    witness={
+                        "coalition": tuple(sorted(liking[:s])),
+                        "total_utility": total,
+                        "required_total": required,
+                    },
+                )
     return AxiomVerdict(passed=True)
 
 
@@ -234,49 +235,52 @@ def check_cfs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerd
 
     Coalition S blocks if a mixture z' gives every member i at least
     U_i / (|S|/n), one strictly more - equivalently the per-coalition LP
-    below has a positive optimum.
+    below has a positive optimum.  Clones get equal utility from every
+    mixture, and ``U`` must give them equal utility too (else ``ValueError``).
+    Then adding a blocker's clones to S keeps every floor met at the same z'
+    and does not lower the surplus, so only the clone-closed coalitions are
+    checked, each by an LP with one row per clone class.  With all like-sets
+    distinct these are all coalitions, by size and then lexicographically.
     """
-    _require_coalition_scale(P)
+    _require_profile_size(P, U)
+    coalitions = _clone_closed_coalitions(P)
+    if any(U[i] != U[agents[0]] for _, agents in P.clone_classes for i in agents):
+        raise ValueError("clones must have equal utilities")
     tol = Fraction(tol)
-    for size in range(1, P.n + 1):
+    for size, coalition in coalitions:
         share = Fraction(size, P.n)
-        for S in itertools.combinations(range(P.n), size):
-            # cheap upper bound on the LP optimum: the objective is linear in
-            # z', so it is maximized at a pure outcome; no block is possible
-            # unless some outcome beats the coalition's current total
-            best_support = max(
-                sum(P.u[i][a] for i in S) for a in range(P.m)
+        support = [
+            sum(len(agents) for mask, agents in coalition if mask >> a & 1)
+            for a in range(P.m)
+        ]
+        base = sum((len(agents) * U[agents[0]] for _, agents in coalition), _ZERO)
+        # cheap upper bound on the LP optimum: the objective is linear in z',
+        # so it is maximized at a pure outcome; no block is possible unless
+        # some outcome beats the coalition's current total
+        if share * max(support) <= base + tol:
+            continue
+        constraints = [
+            (tuple(share * (mask >> a & 1) for a in range(P.m)), lp.GE, U[agents[0]])
+            for mask, agents in coalition
+        ]
+        constraints.append(((Fraction(1),) * P.m, lp.EQ, Fraction(1)))
+        out = lp.solve_lp(
+            lp.LinearProgram(
+                objective=tuple(share * c for c in support),
+                constraints=tuple(constraints),
             )
-            base = sum((U[i] for i in S), _ZERO)
-            if share * best_support <= base + tol:
-                continue
-            constraints = [
-                (
-                    tuple(share * P.u[i][a] for a in range(P.m)),
-                    lp.GE,
-                    U[i],
-                )
-                for i in S
-            ]
-            constraints.append(((Fraction(1),) * P.m, lp.EQ, Fraction(1)))
-            objective = tuple(
-                share * Fraction(sum(P.u[i][a] for i in S)) for a in range(P.m)
+        )
+        if out.status != "optimal":
+            continue  # coalition cannot even match U: no block from S
+        if out.value > base + tol:
+            return AxiomVerdict(
+                passed=False,
+                witness={
+                    "coalition": _members(coalition),
+                    "blocking_mixture": Mixture(out.solution),
+                    "surplus": out.value - base,
+                },
             )
-            out = lp.solve_lp(
-                lp.LinearProgram(objective=objective, constraints=tuple(constraints))
-            )
-            if out.status != "optimal":
-                continue  # coalition cannot even match U: no block from S
-            if out.value > base + tol:
-                zprime = Mixture(out.solution)
-                return AxiomVerdict(
-                    passed=False,
-                    witness={
-                        "coalition": S,
-                        "blocking_mixture": zprime,
-                        "surplus": out.value - base,
-                    },
-                )
     return AxiomVerdict(passed=True)
 
 
@@ -337,13 +341,8 @@ def check_sp(
         )
     guard = 10 * Fraction(tol) if numeric else _ZERO
     truthful_U, _ = rules.evaluate(rule, P)
-    seen_rows = set()
     near_tie = None
-    for i in range(P.n):
-        if P.u[i] in seen_rows:
-            continue
-        seen_rows.add(P.u[i])
-        truth = P.like_mask(i)
+    for truth, (i, *_) in P.clone_classes:
         for report in _admissible_misreports(truth, P.m, variant):
             row = tuple(1 if report >> a & 1 else 0 for a in range(P.m))
             _, zprime = rules.evaluate(rule, P.replace_row(i, row))

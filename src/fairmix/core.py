@@ -79,17 +79,22 @@ class Problem:
         return tuple(a for a in range(self.m) if self.u[i][a])
 
     def like_mask(self, i: int) -> int:
-        mask = 0
-        for a in range(self.m):
-            if self.u[i][a]:
-                mask |= 1 << a
-        return mask
+        return sum(1 << a for a, x in enumerate(self.u[i]) if x)
+
+    @property
+    def clone_classes(self) -> tuple:
+        """(like-mask, agent indices) per distinct like-set: identical agents
+        merged into one clone class, in order of first appearance."""
+        classes: dict = {}
+        for i, row in enumerate(self.u):
+            classes.setdefault(row, []).append(i)
+        return tuple((self.like_mask(c[0]), tuple(c)) for c in classes.values())
 
     @property
     def types(self) -> tuple:
-        """(count, like-mask) agent types, identical agents merged, in order of
-        first appearance."""
-        return _merged_types((1, self.like_mask(i)) for i in range(self.n))
+        """(count, like-mask) agent types, one per clone class, in the same
+        order."""
+        return tuple((len(agents), mask) for mask, agents in self.clone_classes)
 
     def column_sum(self, a: int) -> int:
         return sum(row[a] for row in self.u)
@@ -181,7 +186,11 @@ class TypedProfile:
     @property
     def types(self) -> tuple:
         """(count, like-mask) agent types, as for ``Problem.types``."""
-        return _merged_types((c, sum(1 << a for a in like)) for c, like in self.entries)
+        counts: dict = {}
+        for count, like in self.entries:
+            mask = sum(1 << a for a in like)
+            counts[mask] = counts.get(mask, 0) + count
+        return tuple((c, mask) for mask, c in counts.items())
 
     def to_problem(self) -> Problem:
         rows = []
@@ -189,13 +198,6 @@ class TypedProfile:
             row = tuple(1 if a in like else 0 for a in range(self.m))
             rows.extend([row] * count)
         return Problem(tuple(rows))
-
-
-def _merged_types(pairs) -> tuple:
-    counts: dict = {}
-    for count, mask in pairs:
-        counts[mask] = counts.get(mask, 0) + count
-    return tuple((c, mask) for mask, c in counts.items())
 
 
 @dataclass(frozen=True)
@@ -347,13 +349,9 @@ def _type_floors(P: Problem, U: UtilityProfile) -> list:
     Agents sharing a like-set get the same utility from any mixture, so the
     largest of their ``U_i`` is the one floor that binds for all of them.
     """
-    floors: dict = {}
-    for i in range(P.n):
-        mask = P.like_mask(i)
-        floors[mask] = max(floors.get(mask, U[i]), U[i])
     return [
-        (tuple(Fraction(mask >> a & 1) for a in range(P.m)), floor)
-        for mask, floor in floors.items()
+        (tuple(Fraction(mask >> a & 1) for a in range(P.m)), max(U[i] for i in agents))
+        for mask, agents in P.clone_classes
     ]
 
 

@@ -55,6 +55,9 @@ _RULE_IDS = {
 # slack applied when judging numeric (NMP) outputs against exact axioms
 _NUMERIC_SLACK = F(1, 10**6)
 
+# criterion 05 skips participation on profiles with more agents than this
+_PART_MAX_AGENTS = 16
+
 
 def _verdict(num, name, ok, detail=""):
     line = f"CRITERION {num:02d} [{'PASS' if ok else 'FAIL'}] {name}"
@@ -321,7 +324,7 @@ def _axiom_outcome(axiom, rname, P, evald):
         if axiom in ("PART", "PART*"):
             # re-evaluating the rule once per agent is impractical on the
             # large constructions; the random corpus covers these cells
-            if P.n < 2 or P.n > axioms.COALITION_MAX_AGENTS:
+            if P.n < 2 or P.n > _PART_MAX_AGENTS:
                 return None
             passed = axioms.check_participation(
                 rid, P, strict=(axiom == "PART*")

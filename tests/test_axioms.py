@@ -1,11 +1,14 @@
 """Tests for the axiom checkers."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fairmix import axioms, core, generators, rules
+from fairmix import axioms, core, generators, lp, rules
 from fairmix.axioms import (
     SpVariant,
     check_afs,
@@ -114,10 +117,17 @@ def test_gfs_util_fails_on_ex3():
     assert verdict.passed is False
 
 
+# 17 distinct like-sets over 5 outcomes: one agent type more than the cap
+SEVENTEEN_TYPES = Problem(
+    tuple(tuple(k >> a & 1 for a in range(5)) for k in range(1, 18))
+)
+
+
 def test_gfs_size_refusal():
-    P = Problem(tuple((1,) for _ in range(17)))
-    with pytest.raises(ValueError):
-        check_gfs(P, UtilityProfile((F(1),) * 17), Mixture((F(1),)))
+    P = SEVENTEEN_TYPES
+    z = Mixture((F(1, 5),) * 5)
+    with pytest.raises(ValueError, match="16 agent types"):
+        check_gfs(P, utilities(P, z), z)
 
 
 # ---------------------------------------------------------------- AFS
@@ -179,9 +189,138 @@ def test_cfs_at_grand_coalition_is_efficiency():
 
 
 def test_cfs_size_refusal():
-    P = Problem(tuple((1,) for _ in range(17)))
-    with pytest.raises(ValueError):
-        check_cfs(P, UtilityProfile((F(1),) * 17))
+    P = SEVENTEEN_TYPES
+    with pytest.raises(ValueError, match="16 agent types"):
+        check_cfs(P, utilities(P, Mixture((F(1, 5),) * 5)))
+
+
+def test_coalition_checkers_accept_many_clones():
+    # 40 agents of 2 types: the cap counts agent types, not agents
+    P = Problem(((1, 0),) * 30 + ((0, 1),) * 10)
+    z = Mixture((F(3, 4), F(1, 4)))
+    U = utilities(P, z)
+    assert check_gfs(P, U, z).passed is True
+    assert check_afs(P, U).passed is True
+    assert check_cfs(P, U).passed is True
+    z = Mixture((F(1, 2), F(1, 2)))
+    U = utilities(P, z)
+    assert check_gfs(P, U, z).witness["coalition"] == tuple(range(30))
+    # 21 agents at 1/2 each fall short of 21^2/40; 30 clones at 1/2 block
+    # with the pure mixture on their outcome
+    assert check_afs(P, U).witness["coalition"] == tuple(range(21))
+    assert check_cfs(P, U).witness["coalition"] == tuple(range(30))
+
+
+def test_cfs_refuses_unequal_clone_utilities():
+    P = Problem(((1, 0), (1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="clones"):
+        check_cfs(P, UtilityProfile((F(1, 2), F(1, 3), F(1, 2))))
+
+
+@pytest.mark.parametrize("size", [1, 3])
+def test_share_checkers_refuse_profile_of_wrong_size(size):
+    P = Problem(((1, 0), (0, 1)))
+    U = UtilityProfile((F(1, 2),) * size)
+    for check in (check_ifs, check_ufs, check_afs, check_cfs):
+        with pytest.raises(ValueError, match="differs from agent count"):
+            check(P, U)
+
+
+# ------------------------------------------- coalition oracle (hypothesis)
+
+
+@st.composite
+def _clone_heavy_profiles(draw):
+    """Up to 8 agents over up to 4 outcomes, like-sets drawn from the
+    pairwise intersections and unions of at most 3 base like-sets, so most
+    agents have clones."""
+    m = draw(st.integers(1, 4))
+    base = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=3))
+    pool = sorted({op(a, b) for a in base for b in base
+                   for op in (int.__and__, int.__or__)} - {0})
+    masks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    return Problem(tuple(tuple(k >> a & 1 for a in range(m)) for k in masks))
+
+
+def _oracle_verdicts(P, U, z):
+    """GFS (given ``z``), AFS and CFS (given ``z``) by walking every one of
+    the 2^n - 1 agent coalitions; CFS solves one LP per coalition with one
+    row per agent."""
+    gfs = afs = cfs = True
+    for size in range(1, P.n + 1):
+        share = F(size, P.n)
+        for S in itertools.combinations(range(P.n), size):
+            liked = [{a for a in range(P.m) if P.u[i][a]} for i in S]
+            base = sum(U[i] for i in S)
+            if set.intersection(*liked) and base < F(size * size, P.n):
+                afs = False
+            if z is None:
+                continue
+            if sum(z.z[a] for a in set.union(*liked)) < share:
+                gfs = False
+            rows = [(tuple(share * P.u[i][a] for a in range(P.m)), lp.GE, U[i])
+                    for i in S]
+            rows.append(((F(1),) * P.m, lp.EQ, F(1)))
+            objective = tuple(share * sum(P.u[i][a] for i in S)
+                              for a in range(P.m))
+            out = lp.solve_lp(lp.LinearProgram(objective, tuple(rows)))
+            if out.status == "optimal" and out.value > base:
+                cfs = False
+    return gfs, afs, cfs
+
+
+def _clone_closed(P, S):
+    return all(j in S for i in S for j in range(P.n) if P.u[j] == P.u[i])
+
+
+def _assert_afs_matches_oracle(P, U, expected):
+    afs = check_afs(P, U)
+    assert afs.passed is expected
+    if not afs:
+        S = afs.witness["coalition"]
+        assert any(all(P.u[i][a] for i in S) for a in range(P.m))
+        assert afs.witness["required_total"] == F(len(S) ** 2, P.n)
+        assert afs.witness["total_utility"] == sum(U[i] for i in S)
+        assert afs.witness["total_utility"] < afs.witness["required_total"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _clone_heavy_profiles(),
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    st.lists(st.integers(0, 4), min_size=8, max_size=8),
+)
+def test_coalition_checkers_match_agent_walk_oracle(P, weights, quarters):
+    # every rule's mixture and one drawn mixture; AFS, which takes any
+    # profile, also gets utilities that no mixture need give
+    weights = [F(w) for w in weights[:P.m]]
+    if not any(weights):
+        weights[0] = F(1)
+    mixtures = [rules.evaluate(rid, P)[1]
+                for rid in (rules.UTIL, rules.CUT, rules.RP, rules.EGAL, rules.NMP)]
+    mixtures.append(Mixture(tuple(w / sum(weights) for w in weights)))
+    for z in mixtures:
+        U = utilities(P, z)
+        expected_gfs, expected_afs, expected_cfs = _oracle_verdicts(P, U, z)
+        _assert_afs_matches_oracle(P, U, expected_afs)
+        gfs, cfs = check_gfs(P, U, z), check_cfs(P, U)
+        assert (gfs.passed, cfs.passed) == (expected_gfs, expected_cfs)
+        if not gfs:
+            S = gfs.witness["coalition"]
+            pooled = {a for i in S for a in range(P.m) if P.u[i][a]}
+            assert _clone_closed(P, S)
+            assert gfs.witness["required"] == F(len(S), P.n)
+            assert gfs.witness["pooled_weight"] == sum(z.z[a] for a in pooled)
+            assert gfs.witness["pooled_weight"] < gfs.witness["required"]
+        if not cfs:
+            S, zb = cfs.witness["coalition"], cfs.witness["blocking_mixture"]
+            got = [F(len(S), P.n) * sum(zb.z[a] for a in range(P.m) if P.u[i][a])
+                   for i in S]
+            assert _clone_closed(P, S)
+            assert all(g >= U[i] for g, i in zip(got, S))
+            assert cfs.witness["surplus"] == sum(got) - sum(U[i] for i in S) > 0
+    U = UtilityProfile(tuple(F(q, 4) for q in quarters[:P.n]))
+    _assert_afs_matches_oracle(P, U, _oracle_verdicts(P, U, None)[1])
 
 
 # ---------------------------------------------------------------- SP

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairmix import cli, core, generators
+from fairmix import cli, core, generators, rules
 
 F = Fraction
 
@@ -61,6 +61,31 @@ def test_check_eff_on_appendix860(capsys):
                        "--fixture", "appendix860")
     assert code == 0
     assert "result=pass" in out
+
+
+@pytest.mark.parametrize("axiom", ["gfs", "afs", "cfs"])
+def test_check_coalition_axioms_on_appendix860(capsys, axiom):
+    # 860 agents of 4 types: the coalition checks read clone classes
+    code, out, _ = run(capsys, "check", "--axiom", axiom, "--rule", "nmp",
+                       "--fixture", "appendix860")
+    assert code == 0
+    assert out.strip() == f"{axiom.upper()} rule=NMP result=pass"
+
+
+def test_check_cfs_cut_fails_on_appendix36(capsys):
+    code, out, _ = run(capsys, "check", "--axiom", "cfs", "--rule", "cut",
+                       "--fixture", "appendix36")
+    assert code == 1
+    witness = dict(
+        item.split("=") for item in out.split("witness=[")[1].rstrip("]\n").split(",")
+    )
+    S = tuple(int(i) for i in witness["coalition"].strip("()").split())
+    zb = [F(x) for x in witness["blocking_mixture"].strip("()").split()]
+    P = generators.fixture("appendix36")
+    U, _ = rules.cut_rule(P)
+    got = [F(len(S), P.n) * sum(zb[a] for a in range(P.m) if P.u[i][a]) for i in S]
+    assert all(g >= U[i] for g, i in zip(got, S))
+    assert F(witness["surplus"]) == sum(got) - sum(U[i] for i in S) > 0
 
 
 def test_solve_hrule(capsys):
