@@ -16,7 +16,6 @@ from .core import (
     epsilon_inefficiency,
     format_mixture,
     format_problem,
-    interval_structure,
     is_efficient,
     parse_mixture,
     parse_problem,

@@ -45,6 +45,12 @@ SP_MAX_AGENTS_EXACT = 8
 _ZERO = Fraction(0)
 
 
+def _tie_guard(rule: rules.RuleId) -> Fraction:
+    """Ten times the solver tolerance the rule is evaluated at (numeric
+    rules), or 0 (exact rules)."""
+    return 10 * rules.DEFAULT_NMP_TOL if rules.is_numeric(rule) else _ZERO
+
+
 class SpVariant(enum.Enum):
     """Strategyproofness flavors.
 
@@ -318,28 +324,22 @@ def _deviation_payoff(
     return sum((z.z[a] for a in range(z.m) if consume >> a & 1), _ZERO)
 
 
-def check_sp(
-    rule: rules.RuleId,
-    P: Problem,
-    variant: SpVariant,
-    tol: Fraction = rules.DEFAULT_NMP_TOL,
-) -> AxiomVerdict:
+def check_sp(rule: rules.RuleId, P: Problem, variant: SpVariant) -> AxiomVerdict:
     """Exhaustive misreport search for one strategyproofness variant.
 
     Iterates every agent (identical agents once) and every admissible
     misreported like-set, re-runs the rule, and compares the deviation payoff
     with the truthful utility.  Exact rules use exact comparisons; numeric
-    rules count a deviation only beyond the 10*tol guard and report
-    near-ties as inconclusive.
+    rules count a deviation only beyond the tie guard and report near-ties
+    as inconclusive.
     """
     if P.m > SP_MAX_OUTCOMES:
         raise ValueError(f"check_sp is capped at m <= {SP_MAX_OUTCOMES}")
-    numeric = rules.is_numeric(rule)
-    if not numeric and P.n > SP_MAX_AGENTS_EXACT:
+    if not rules.is_numeric(rule) and P.n > SP_MAX_AGENTS_EXACT:
         raise ValueError(
             f"check_sp for exact rules is capped at n <= {SP_MAX_AGENTS_EXACT}"
         )
-    guard = 10 * Fraction(tol) if numeric else _ZERO
+    guard = _tie_guard(rule)
     truthful_U, _ = rules.evaluate(rule, P)
     near_tie = None
     for truth, (i, *_) in P.clone_classes:
@@ -375,10 +375,7 @@ def check_sp(
 
 
 def check_participation(
-    rule: rules.RuleId,
-    P: Problem,
-    strict: bool = False,
-    tol: Fraction = rules.DEFAULT_NMP_TOL,
+    rule: rules.RuleId, P: Problem, strict: bool = False
 ) -> AxiomVerdict:
     """Casting one's ballot never hurts (strictly helps unless already at 1).
 
@@ -388,8 +385,7 @@ def check_participation(
     """
     if P.n < 2:
         raise ValueError("participation needs at least two agents")
-    numeric = rules.is_numeric(rule)
-    guard = 10 * Fraction(tol) if numeric else _ZERO
+    guard = _tie_guard(rule)
     U, _ = rules.evaluate(rule, P)
     near_tie = None
     for i in range(P.n):
@@ -421,11 +417,7 @@ def check_participation(
 # decentralization
 
 
-def check_dec(
-    rule: rules.RuleId,
-    P: Problem,
-    tol: Fraction = rules.DEFAULT_NMP_TOL,
-) -> AxiomVerdict:
+def check_dec(rule: rules.RuleId, P: Problem) -> AxiomVerdict:
     """Blockwise proportionality on polarized problems.
 
     Requires the agent-outcome graph to split into at least two components;
@@ -436,8 +428,7 @@ def check_dec(
     part = polarized_partition(P)
     if part.blocks < 2:
         raise ValueError("no polarized structure: the problem is connected")
-    numeric = rules.is_numeric(rule)
-    guard = 10 * Fraction(tol) if numeric else _ZERO
+    guard = _tie_guard(rule)
     U, _ = rules.evaluate(rule, P)
     for k in range(part.blocks):
         agents = part.agent_blocks[k]

@@ -63,6 +63,11 @@ def _parse_rule(name: str, q) -> rules.RuleId:
     raise ValueError(f"unknown rule {name!r}")
 
 
+def _reject_q_without_hrule(names, q) -> None:
+    if q is not None and "hrule" not in (name.lower() for name in names):
+        raise ValueError("--q is only for the hrule rule")
+
+
 def _add_problem_args(sub) -> None:
     sub.add_argument("input", nargs="?", help="problem file (see README for format)")
     sub.add_argument("--fixture", help="named fixture instead of a file")
@@ -75,6 +80,7 @@ def _add_rule_args(sub, required: bool) -> None:
 
 def _cmd_solve(args) -> int:
     P = _load_problem(args)
+    _reject_q_without_hrule([args.rule], args.q)
     rule = _parse_rule(args.rule, args.q)
     _, z = rules.evaluate(rule, P)
     print(_format_vector(z.z, args.float))
@@ -94,6 +100,7 @@ _SP_AXIOMS = {
 def _cmd_check(args) -> int:
     P = _load_problem(args)
     axiom = args.axiom.lower()
+    _reject_q_without_hrule([args.rule or ""], args.q)
     rule = None if args.rule is None else _parse_rule(args.rule, args.q)
     rule_label = "-" if rule is None else str(rule)
 
@@ -136,7 +143,9 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rule_ids = [_parse_rule(name, args.q) for name in args.rules.split(",")]
+    names = args.rules.split(",")
+    _reject_q_without_hrule(names, args.q)
+    rule_ids = [_parse_rule(name, args.q) for name in names]
     grid = experiments.ExperimentGrid(
         agent_counts=tuple(int(x) for x in args.agents.split(",")),
         outcome_counts=tuple(int(x) for x in args.outcomes.split(",")),

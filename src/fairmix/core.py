@@ -15,7 +15,6 @@ reports is therefore a certificate that can be re-verified by hand.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,12 +37,9 @@ __all__ = [
     "undominated_outcomes",
     "is_efficient",
     "epsilon_inefficiency",
-    "interval_structure",
-    "INTERVAL_MAX_OUTCOMES",
     "DEFAULT_EPSILON_TOL",
 ]
 
-INTERVAL_MAX_OUTCOMES = 10
 DEFAULT_EPSILON_TOL = Fraction(1, 2**30)
 
 
@@ -54,6 +50,7 @@ class Problem:
     u: tuple  # tuple of n tuples of m ints in {0, 1}
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "u", tuple(tuple(row) for row in self.u))
         if not self.u:
             raise ValueError("a problem needs at least one agent")
         m = len(self.u[0])
@@ -429,25 +426,3 @@ def epsilon_inefficiency(
         raise ValueError("utility profile is not feasible for this problem")
     grid = 2 ** (math.ceil(1 / tol) - 1).bit_length()  # 2^k, the least >= 1/tol
     return Fraction(math.ceil(grid / t), grid)
-
-
-def interval_structure(P: Problem) -> Optional[tuple]:
-    """A column order making every like-set an interval, if one exists.
-
-    Brute force over column permutations; refuses ``m > 10``.
-    """
-    if P.m > INTERVAL_MAX_OUTCOMES:
-        raise ValueError(
-            f"interval_structure is capped at m <= {INTERVAL_MAX_OUTCOMES}"
-        )
-    masks = {P.like_mask(i) for i in range(P.n)}
-    for perm in itertools.permutations(range(P.m)):
-        ok = True
-        for mask in masks:
-            positions = [j for j, a in enumerate(perm) if mask >> a & 1]
-            if positions[-1] - positions[0] + 1 != len(positions):
-                ok = False
-                break
-        if ok:
-            return perm
-    return None

@@ -20,7 +20,6 @@ from .core import Mixture, Problem, TypedProfile
 __all__ = [
     "fixture",
     "fixture_names",
-    "fixture_description",
     "CutWorstCaseParams",
     "RpWorstCaseParams",
     "cut_worstcase",
@@ -44,63 +43,45 @@ RP_WORSTCASE_MAX_OUTCOMES = 2 * 10**5
 # fixtures
 
 _FIXTURES = {
-    # five agents, five outcomes; the last outcome is dominated by the fourth
+    # five agents, five outcomes; the last outcome is dominated by the fourth;
+    # the standard example separating the rules
     "ex3": (
-        (
-            (0, 0, 0, 1, 1),
-            (0, 0, 1, 1, 0),
-            (1, 1, 0, 0, 0),
-            (1, 0, 1, 0, 0),
-            (0, 1, 0, 1, 1),
-        ),
-        "five agents, five outcomes; outcome e dominated by d; the standard "
-        "example separating the rules",
+        (0, 0, 0, 1, 1),
+        (0, 0, 1, 1, 0),
+        (1, 1, 0, 0, 0),
+        (1, 0, 1, 0, 0),
+        (0, 1, 0, 1, 1),
     ),
     # six agents, five outcomes; CUT picks (0,0,0,1/2,1/2), RP is dominated
     "ex5": (
-        (
-            (1, 0, 0, 1, 0),
-            (1, 0, 0, 0, 1),
-            (0, 1, 0, 1, 0),
-            (0, 1, 0, 0, 1),
-            (0, 0, 1, 1, 0),
-            (0, 0, 1, 0, 1),
-        ),
-        "six agents, five outcomes; CUT strictly Pareto-dominates RP here",
+        (1, 0, 0, 1, 0),
+        (1, 0, 0, 0, 1),
+        (0, 1, 0, 1, 0),
+        (0, 1, 0, 0, 1),
+        (0, 0, 1, 1, 0),
+        (0, 0, 1, 0, 1),
     ),
-    "egal-true": (
-        ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
-        "simplest profile where EGAL is manipulable by a shrinking misreport",
-    ),
-    "egal-misreport": (
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-        "the egal-true profile after agent 1 drops outcome b from her report",
-    ),
+    # simplest profile where EGAL is manipulable by a shrinking misreport
+    "egal-true": ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+    # egal-true after agent 1 drops outcome b from her report
+    "egal-misreport": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    # average fair share pins the mixture (2/5,0,0,3/5), the Nash max
+    # product outcome
     "afs-example": (
-        (
-            (1, 0, 0, 0),
-            (1, 1, 1, 0),
-            (0, 0, 1, 1),
-            (0, 1, 0, 1),
-            (0, 0, 0, 1),
-        ),
-        "five agents, four outcomes; average fair share pins the mixture "
-        "(2/5,0,0,3/5), which is the Nash max product outcome",
+        (1, 0, 0, 0),
+        (1, 1, 1, 0),
+        (0, 0, 1, 1),
+        (0, 1, 0, 1),
+        (0, 0, 0, 1),
     ),
-    "cfs-example": (
-        ((1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)),
-        "four agents, three outcomes; (7/20,7/20,3/10) passes AFS but "
-        "coalition {1,2,3} blocks it via (1/2,1/2,0)",
-    ),
-    "dec-m": (
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-        "polarized problem with blocks {1}|{a} and {2,3}|{b,c}",
-    ),
-    "dec-mprime": (
-        ((1, 0, 0), (0, 1, 0), (0, 1, 1)),
-        "polarized problem where UTIL picks (0,1,0) and EGAL picks "
-        "(1/2,1/2,0), both violating blockwise proportionality",
-    ),
+    # (7/20,7/20,3/10) passes AFS but coalition {1,2,3} blocks it via
+    # (1/2,1/2,0)
+    "cfs-example": ((1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)),
+    # polarized: blocks {1}|{a} and {2,3}|{b,c}
+    "dec-m": ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    # polarized; UTIL picks (0,1,0) and EGAL (1/2,1/2,0), both violating
+    # blockwise proportionality
+    "dec-mprime": ((1, 0, 0), (0, 1, 0), (0, 1, 1)),
 }
 
 
@@ -115,7 +96,7 @@ def fixture(name: str) -> Problem:
     if name == "appendix860-misreport":
         return appendix_860(misreport=True).to_problem()
     try:
-        rows, _ = _FIXTURES[name]
+        rows = _FIXTURES[name]
     except KeyError:
         raise ValueError(f"unknown fixture {name!r}") from None
     return Problem(rows)
@@ -128,16 +109,6 @@ def fixture_names() -> tuple:
         "appendix860",
         "appendix860-misreport",
     )
-
-
-def fixture_description(name: str) -> str:
-    if name in _FIXTURES:
-        return _FIXTURES[name][1]
-    if name.startswith("appendix36"):
-        return "36-agent profile on which the Nash rule is manipulable by inflation"
-    if name.startswith("appendix860"):
-        return "860-agent profile with an exactly rational Nash optimum"
-    raise ValueError(f"unknown fixture {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ callers can use them as certificates rather than estimates.  Bland's rule
 (Bland 1977) picks the entering and leaving columns, which makes the solver
 deterministic and immune to cycling.
 
-Internally the tableau uses ``gmpy2.mpq`` when available (noticeably faster
-on the long pivot loops); the public interface speaks ``fractions.Fraction``.
+Every input entry is converted once to ``fractions.Fraction`` on the way
+in, so integer inputs stay exact and every output is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -25,11 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
-
-try:  # pragma: no cover - exercised implicitly on machines with gmpy2
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = Fraction
 
 __all__ = ["LinearProgram", "LpOutcome", "solve_lp", "row_reduce",
            "MAX_VARIABLES", "MAX_CONSTRAINTS"]
@@ -70,15 +65,6 @@ class LpOutcome:
     value: Optional[Fraction] = None
     solution: Optional[tuple] = None
     duals: Optional[tuple] = None  # per row: >= 0 on "<=", <= 0 on ">=", None on "="
-
-
-def _q(x):
-    x = Fraction(x)
-    return _mpq(x.numerator, x.denominator)
-
-
-def _fraction(x) -> Fraction:
-    return Fraction(x.numerator, x.denominator)
 
 
 def _pivot(rows, leave, enter):
@@ -145,18 +131,18 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     # changes which optimal vertex Bland's rule ends on.)
     needs_art = [rel != LE or Fraction(rhs) < 0 for _, rel, rhs in lp.constraints]
     real = nvar + nslack
-    zeros = [_mpq(0)] * (nslack + sum(needs_art))
+    zeros = [Fraction(0)] * (nslack + sum(needs_art))
     rows, basis = [], []
     slack, art = nvar, real
     for (row, rel, rhs), artificial in zip(lp.constraints, needs_art):
-        line = [_q(x) for x in row] + zeros + [_q(rhs)]
+        line = [Fraction(x) for x in row] + zeros + [Fraction(rhs)]
         if rel != EQ:
-            line[slack] = _mpq(1 if rel == LE else -1)
+            line[slack] = Fraction(1 if rel == LE else -1)
             slack += 1
         if line[-1] < 0:
             line = [-x for x in line]
         if artificial:
-            line[art] = _mpq(1)
+            line[art] = Fraction(1)
             basis.append(art)
             art += 1
         else:
@@ -165,7 +151,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 
     if art > real:
         # Phase 1: maximize -(sum of artificials); it is bounded above by 0.
-        _price(rows, basis, [_mpq(0)] * real + [_mpq(-1)] * (art - real) + [_mpq(0)])
+        _price(
+            rows, basis, [Fraction(0)] * real + [Fraction(-1)] * (art - real) + [Fraction(0)]
+        )
         _simplex(rows, basis)
         if rows.pop()[-1] != 0:
             return LpOutcome(status="infeasible")
@@ -182,23 +170,23 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         basis = [basis[i] for i in keep]
 
     # Phase 2.
-    _price(rows, basis, [_q(c) for c in lp.objective] + [_mpq(0)] * (nslack + 1))
+    _price(rows, basis, [Fraction(c) for c in lp.objective] + [Fraction(0)] * (nslack + 1))
     if _simplex(rows, basis) == "unbounded":
         return LpOutcome(status="unbounded")
     solution = [Fraction(0)] * nvar
     for i, b in enumerate(basis):
         if b < nvar:
-            solution[b] = _fraction(rows[i][-1])
+            solution[b] = rows[i][-1]
     # row i's slack column is +e_i ("<=") or -e_i (">="), whatever sign the
     # row was stored with, so its reduced cost is -y_i or +y_i
     costs = iter(rows[-1][nvar:real])
     duals = tuple(
-        None if rel == EQ else _fraction(next(costs) * (-1 if rel == LE else 1))
+        None if rel == EQ else next(costs) * (-1 if rel == LE else 1)
         for _, rel, _ in lp.constraints
     )
     return LpOutcome(
         status="optimal",
-        value=_fraction(-rows[-1][-1]),
+        value=-rows[-1][-1],
         solution=tuple(solution),
         duals=duals,
     )
@@ -212,7 +200,7 @@ def row_reduce(rows, rhs, pivot_cols):
     that vanishes on the pivot columns must have zero rhs (the other columns
     belong to variables fixed at 0); otherwise raises ``ValueError``.
     """
-    work = [list(r) + [v] for r, v in zip(rows, rhs)]
+    work = [[Fraction(x) for x in r] + [Fraction(v)] for r, v in zip(rows, rhs)]
     r = 0
     for c in pivot_cols:
         if r == len(work):

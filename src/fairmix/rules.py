@@ -689,7 +689,7 @@ def nmp_rule(
 
 
 def h_rule(
-    P: Union[Problem, TypedProfile], q, tol: Fraction = Fraction(1, 10**9)
+    P: Union[Problem, TypedProfile], q, tol: Fraction = DEFAULT_NMP_TOL
 ) -> HRuleSolution:
     """Power-family welfare rule: maximize sum of sign(q) * U_i^q, q < 1, q != 0.
 

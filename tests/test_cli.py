@@ -177,6 +177,26 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     assert code == 2 and err.startswith("error:") and "zero denominator" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--rule", "nmp", "--q", "1/2", "--fixture", "ex3"),
+    ("check", "--axiom", "ifs", "--mixture", "1 0 0", "--q", "1/2",
+     "--fixture", "egal-true"),
+    ("check", "--axiom", "sp", "--rule", "cut", "--q", "1/2", "--fixture", "ex3"),
+    ("table", "--agents", "3", "--outcomes", "3", "--draws", "1",
+     "--rules", "cut,nmp", "--q", "1/2"),
+])
+def test_q_without_hrule_is_a_usage_error(capsys, argv):
+    # --q would be silently dropped: no named rule reads it
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "--q" in err
+
+
+def test_table_q_with_hrule_among_rules(capsys):
+    code, out, _ = run(capsys, "table", "--agents", "3", "--outcomes", "3",
+                       "--draws", "1", "--rules", "cut,HRule", "--q", "1/2")
+    assert code == 0 and "HRULE(1/2)" in out
+
+
 # ---------------------------------------------------------------- table
 
 

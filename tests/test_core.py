@@ -15,7 +15,6 @@ from fairmix.core import (
     epsilon_inefficiency,
     format_mixture,
     format_problem,
-    interval_structure,
     is_efficient,
     parse_mixture,
     parse_rational,
@@ -60,6 +59,14 @@ def test_problem_rejects_zero_row():
 def test_problem_rejects_ragged_rows():
     with pytest.raises(ValueError):
         Problem(((1, 0), (1,)))
+
+
+def test_problem_normalises_list_rows():
+    P = Problem([[1, 0], [0, 1]])
+    assert P.u == ((1, 0), (0, 1)) and P == Problem(((1, 0), (0, 1)))
+    # hashable, so the memoized rule dispatcher accepts it
+    assert rules.evaluate(rules.UTIL, P) == rules.util_rule(P)
+    assert rules.util_rule(P)[1].z == (F(1, 2), F(1, 2))
 
 
 def test_mixture_must_sum_to_one():
@@ -342,28 +349,13 @@ def test_epsilon_rejects_all_zero():
 # ---------------------------------------------------------------- intervals
 
 
-def test_interval_structure_already_interval():
-    P = Problem(((1, 1, 0), (0, 1, 1)))
-    order = interval_structure(P)
-    assert order is not None
-    # every like-set is consecutive under the returned order
-    for i in range(P.n):
-        pos = sorted(order.index(a) for a in P.like_set(i))
-        assert pos[-1] - pos[0] + 1 == len(pos)
-
-
-def test_interval_structure_ex3_has_none():
-    assert interval_structure(generators.fixture("ex3")) is None
-
-
-def test_interval_structure_single_column():
-    assert interval_structure(Problem(((1,), (1,)))) == (0,)
-
-
-def test_interval_structure_size_refusal():
-    P = Problem((tuple([1] * 11),))
-    with pytest.raises(ValueError):
-        interval_structure(P)
+def _has_interval_order(P):
+    # brute force over column orders: is every like-set consecutive in one?
+    for perm in itertools.permutations(range(P.m)):
+        spans = ([j for j, a in enumerate(perm) if P.u[i][a]] for i in range(P.n))
+        if all(pos[-1] - pos[0] + 1 == len(pos) for pos in spans):
+            return True
+    return False
 
 
 def test_interval_structure_implies_efficiency_of_undominated_support():
@@ -373,7 +365,7 @@ def test_interval_structure_implies_efficiency_of_undominated_support():
     found = 0
     while found < 25:
         P = _random_problem(rng, max_n=6, max_m=5)
-        if interval_structure(P) is None:
+        if not _has_interval_order(P):
             continue
         found += 1
         undom = undominated_outcomes(P)

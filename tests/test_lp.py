@@ -220,3 +220,25 @@ def test_row_reduce_dependent_and_inconsistent_rows():
     # a row that vanishes on the pivot columns needs a zero rhs
     with pytest.raises(ValueError):
         lp.row_reduce([(F(0), F(1))], [F(1)], [0])
+
+
+def test_row_reduce_stays_exact_on_int_input():
+    # an int pivot of 2 must not turn the row into floats
+    reduced = lp.row_reduce([[2, 1]], [1], [0])
+    assert reduced == [((1, Fraction(1, 2)), Fraction(1, 2))]
+    (row, rhs), = reduced
+    assert all(type(x) is Fraction for x in row + (rhs,))
+
+
+def test_solve_lp_int_coefficients_give_fractions():
+    # maximize x + 2y  s.t.  2x + 3y <= 5,  x >= 1: optimum (1, 1) with value 3
+    prog = lp.LinearProgram(
+        objective=(1, 2), constraints=(((2, 3), lp.LE, 5), ((1, 0), lp.GE, 1))
+    )
+    out = lp.solve_lp(prog)
+    assert out.status == "optimal"
+    assert out.value == 3 and out.solution == (1, 1)
+    assert out.duals == (Fraction(2, 3), Fraction(-1, 3))
+    assert all(
+        type(x) is Fraction for x in (out.value,) + out.solution + out.duals
+    )
