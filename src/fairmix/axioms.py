@@ -15,10 +15,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from . import lp, rules
-from .core import AxiomVerdict, Mixture, Problem, UtilityProfile, format_rational, utilities
+from .core import AxiomVerdict, Mixture, Problem, UtilityProfile, format_rational
+from .core import require_profile_size, utilities
 
 __all__ = [
     "SpVariant",
@@ -116,14 +116,9 @@ def polarized_partition(P: Problem) -> Partition:
 # share axioms
 
 
-def _require_profile_size(P: Problem, U: UtilityProfile) -> None:
-    if U.n != P.n:
-        raise ValueError("utility profile size differs from agent count")
-
-
 def check_ifs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
     """Individual fair share: every agent gets at least 1/n."""
-    _require_profile_size(P, U)
+    require_profile_size(P, U)
     share = Fraction(1, P.n)
     for i in range(P.n):
         if U[i] < share:
@@ -136,7 +131,7 @@ def check_ifs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
 
 def check_ufs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
     """Unanimity fair share: s identical agents each get at least s/n."""
-    _require_profile_size(P, U)
+    require_profile_size(P, U)
     for _, members in P.clone_classes:
         share = Fraction(len(members), P.n)
         for i in members:
@@ -216,7 +211,7 @@ def check_afs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerd
     to at least s^2/n (less ``tol``): one sort per outcome, with no cap.  A
     failure reports the first such s-agent coalition, by outcome, then s.
     """
-    _require_profile_size(P, U)
+    require_profile_size(P, U)
     tol = Fraction(tol)
     for a in range(P.m):
         liking = sorted((i for i in range(P.n) if P.u[i][a]), key=U.__getitem__)
@@ -248,7 +243,7 @@ def check_cfs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerd
     checked, each by an LP with one row per clone class.  With all like-sets
     distinct these are all coalitions, by size and then lexicographically.
     """
-    _require_profile_size(P, U)
+    require_profile_size(P, U)
     coalitions = _clone_closed_coalitions(P)
     if any(U[i] != U[agents[0]] for _, agents in P.clone_classes for i in agents):
         raise ValueError("clones must have equal utilities")
@@ -269,7 +264,7 @@ def check_cfs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerd
             (tuple(share * (mask >> a & 1) for a in range(P.m)), lp.GE, U[agents[0]])
             for mask, agents in coalition
         ]
-        constraints.append(((Fraction(1),) * P.m, lp.EQ, Fraction(1)))
+        constraints.append(((1,) * P.m, lp.EQ, 1))
         out = lp.solve_lp(
             lp.LinearProgram(
                 objective=tuple(share * c for c in support),

@@ -43,24 +43,11 @@ def _load_problem(args) -> core.Problem:
     raise ValueError("no input: give --fixture NAME or an input file")
 
 
-_RULE_NAMES = {
-    "util": rules.UTIL,
-    "egal": rules.EGAL,
-    "rp": rules.RP,
-    "cut": rules.CUT,
-    "nmp": rules.NMP,
-}
-
-
 def _parse_rule(name: str, q) -> rules.RuleId:
-    key = name.lower()
-    if key in _RULE_NAMES:
-        return _RULE_NAMES[key]
-    if key == "hrule":
-        if q is None:
-            raise ValueError("hrule needs --q")
-        return rules.HRULE(core.parse_rational(q))
-    raise ValueError(f"unknown rule {name!r}")
+    """``RuleId`` refuses an unknown kind and an HRULE without ``q``."""
+    kind = name.upper()
+    q = core.parse_rational(q) if kind == "HRULE" and q is not None else None
+    return rules.RuleId(kind, q)
 
 
 def _reject_q_without_hrule(names, q) -> None:
@@ -87,14 +74,32 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-_COALITION_AXIOMS = {"ifs", "ufs", "gfs", "afs", "cfs", "eff"}
-_SP_AXIOMS = {
-    "sp": axioms.SpVariant.SP,
-    "sp+": axioms.SpVariant.SP_PLUS,
-    "sp-": axioms.SpVariant.SP_MINUS,
-    "sp*": axioms.SpVariant.SP_STAR,
-    "exsp": axioms.SpVariant.EXSP,
+# Axioms of a utility profile and the mixture realizing it, by name; the
+# checkers are looked up when called, so a patched module attribute is used.
+_SHARE_AXIOMS = {
+    "ifs": lambda P, U, z: axioms.check_ifs(P, U),
+    "ufs": lambda P, U, z: axioms.check_ufs(P, U),
+    "gfs": lambda P, U, z: axioms.check_gfs(P, U, z),
+    "afs": lambda P, U, z: axioms.check_afs(P, U),
+    "cfs": lambda P, U, z: axioms.check_cfs(P, U),
+    "eff": lambda P, U, z: core.is_efficient(P, U, source=z),
 }
+# Axioms of a rule other than the strategyproofness variants of ``SpVariant``.
+_RULE_AXIOMS = {
+    "part": lambda rule, P: axioms.check_participation(rule, P),
+    "part*": lambda rule, P: axioms.check_participation(rule, P, strict=True),
+    "dec": lambda rule, P: axioms.check_dec(rule, P),
+}
+
+
+def _rule_axiom(name: str):
+    if name in _RULE_AXIOMS:
+        return _RULE_AXIOMS[name]
+    try:
+        variant = axioms.SpVariant(name)
+    except ValueError:
+        raise ValueError(f"unknown axiom {name!r}") from None
+    return lambda rule, P: axioms.check_sp(rule, P, variant)
 
 
 def _cmd_check(args) -> int:
@@ -102,20 +107,8 @@ def _cmd_check(args) -> int:
     axiom = args.axiom.lower()
     _reject_q_without_hrule([args.rule or ""], args.q)
     rule = None if args.rule is None else _parse_rule(args.rule, args.q)
-    rule_label = "-" if rule is None else str(rule)
 
-    if axiom in _SP_AXIOMS or axiom in ("part", "part*", "dec"):
-        if rule is None:
-            raise ValueError(f"--axiom {axiom} needs --rule")
-        if args.mixture is not None:
-            raise ValueError(f"--axiom {axiom} takes a rule, not --mixture")
-        if axiom in _SP_AXIOMS:
-            verdict = axioms.check_sp(rule, P, _SP_AXIOMS[axiom])
-        elif axiom == "dec":
-            verdict = axioms.check_dec(rule, P)
-        else:
-            verdict = axioms.check_participation(rule, P, strict=axiom == "part*")
-    elif axiom in _COALITION_AXIOMS:
+    if axiom in _SHARE_AXIOMS:
         if (rule is None) == (args.mixture is None):
             raise ValueError(f"--axiom {axiom} needs --rule or --mixture, not both")
         if rule is not None:
@@ -123,22 +116,16 @@ def _cmd_check(args) -> int:
         else:
             z = core.parse_mixture(args.mixture)
             U = core.utilities(P, z)
-        if axiom == "ifs":
-            verdict = axioms.check_ifs(P, U)
-        elif axiom == "ufs":
-            verdict = axioms.check_ufs(P, U)
-        elif axiom == "gfs":
-            verdict = axioms.check_gfs(P, U, z)
-        elif axiom == "afs":
-            verdict = axioms.check_afs(P, U)
-        elif axiom == "cfs":
-            verdict = axioms.check_cfs(P, U)
-        else:
-            verdict = core.is_efficient(P, U, source=z)
+        verdict = _SHARE_AXIOMS[axiom](P, U, z)
     else:
-        raise ValueError(f"unknown axiom {args.axiom!r}")
+        check = _rule_axiom(axiom)
+        if rule is None:
+            raise ValueError(f"--axiom {axiom} needs --rule")
+        if args.mixture is not None:
+            raise ValueError(f"--axiom {axiom} takes a rule, not --mixture")
+        verdict = check(rule, P)
 
-    print(axioms.format_verdict(axiom, rule_label, verdict))
+    print(axioms.format_verdict(axiom, "-" if rule is None else str(rule), verdict))
     return 1 if verdict.passed is False else 0
 
 
@@ -162,6 +149,13 @@ def _cmd_table(args) -> int:
     return 0
 
 
+_TYPED_FAMILIES = {
+    "appendix36": generators.appendix_36,
+    "appendix860": generators.appendix_860,
+    "sp0": lambda misreport: generators.appendix_sp0()[misreport],
+}
+
+
 def _cmd_construct(args) -> int:
     family = args.family
     if family == "cut-worstcase":
@@ -178,14 +172,8 @@ def _cmd_construct(args) -> int:
             generators.RpWorstCaseParams(k=args.k, d=args.d, ell=args.ell)
         )
         text = core.format_problem(P)
-    elif family == "appendix36":
-        text = core.format_typed_profile(generators.appendix_36(args.misreport))
-    elif family == "appendix860":
-        text = core.format_typed_profile(generators.appendix_860(args.misreport))
-    elif family == "sp0":
-        truthful, misreported = generators.appendix_sp0()
-        chosen = misreported if args.misreport else truthful
-        text = core.format_typed_profile(chosen)
+    elif family in _TYPED_FAMILIES:
+        text = core.format_typed_profile(_TYPED_FAMILIES[family](args.misreport))
     else:
         raise ValueError(f"unknown family {family!r}")
     if args.output:

@@ -16,6 +16,7 @@ reports is therefore a certificate that can be re-verified by hand.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -41,6 +42,8 @@ __all__ = [
 ]
 
 DEFAULT_EPSILON_TOL = Fraction(1, 2**30)
+MAX_EXPONENT = 1000  # Fraction builds 10**exponent exactly
+MAX_TYPED_AGENTS = 2_000_000  # each expands to a row; appendix_sp0 has 1,227,856
 
 
 @dataclass(frozen=True)
@@ -227,7 +230,7 @@ def parse_problem(text: str) -> Problem:
 
     Dense: first line ``"n m"``, then ``n`` lines of ``m`` characters from
     ``{0,1}``.  Typed: first line ``"typed m"``, then lines ``"count
-    bitstring"``; typed rows expand in listed order.
+    bitstring"``, expanded in listed order to at most ``MAX_TYPED_AGENTS`` rows.
     """
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines:
@@ -245,12 +248,12 @@ def parse_problem(text: str) -> Problem:
             parts = ln.split()
             if len(parts) != 2:
                 raise ValueError(f"malformed typed entry: {ln!r}")
-            count = int(parts[0])
-            if count <= 0:
-                raise ValueError(f"typed entry has non-positive count: {ln!r}")
             like = _parse_bitstring_row(parts[1], m)
-            entries.append((count, frozenset(a for a in range(m) if like[a])))
-        return TypedProfile(m=m, entries=tuple(entries)).to_problem()
+            entries.append((int(parts[0]), frozenset(a for a in range(m) if like[a])))
+        profile = TypedProfile(m=m, entries=tuple(entries))
+        if profile.n > MAX_TYPED_AGENTS:
+            raise ValueError(f"typed profile has more than {MAX_TYPED_AGENTS} agents")
+        return profile.to_problem()
     if len(header) != 2:
         raise ValueError(f"malformed header: {lines[0]!r}")
     try:
@@ -293,10 +296,14 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an exact rational such as ``3``, ``-1/2`` or ``0.25``.
+    """Parse an exact rational such as ``3``, ``-1/2``, ``0.25`` or ``1e-3``.
 
-    Malformed text and a zero denominator both raise ``ValueError``.
+    Malformed text, a zero denominator and a decimal exponent above
+    ``MAX_EXPONENT`` in magnitude raise ``ValueError``.
     """
+    exponent = re.search(r"e([-+]?\d+(?:_\d+)*)\s*\Z", text, re.IGNORECASE)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent above {MAX_EXPONENT} in magnitude in {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -340,6 +347,11 @@ def undominated_outcomes(P: Problem) -> set:
     return result
 
 
+def require_profile_size(P: Problem, U: UtilityProfile) -> None:
+    if U.n != P.n:
+        raise ValueError("utility profile size differs from agent count")
+
+
 def _type_floors(P: Problem, U: UtilityProfile) -> list:
     """One (0/1 row, largest U_i) pair per agent type, in ``P.types`` order.
 
@@ -347,16 +359,16 @@ def _type_floors(P: Problem, U: UtilityProfile) -> list:
     largest of their ``U_i`` is the one floor that binds for all of them.
     """
     return [
-        (tuple(Fraction(mask >> a & 1) for a in range(P.m)), max(U[i] for i in agents))
+        (tuple(mask >> a & 1 for a in range(P.m)), max(U[i] for i in agents))
         for mask, agents in P.clone_classes
     ]
 
 
 def _efficiency_lp(P: Problem, U: UtilityProfile) -> lp.LinearProgram:
     # maximize sum_i (u_i . z' - U_i)  s.t.  u_i . z' >= U_i, z' in simplex
-    objective = tuple(Fraction(P.column_sum(a)) for a in range(P.m))
+    objective = tuple(P.column_sum(a) for a in range(P.m))
     constraints = [(row, lp.GE, floor) for row, floor in _type_floors(P, U)]
-    constraints.append(((Fraction(1),) * P.m, lp.EQ, Fraction(1)))
+    constraints.append(((1,) * P.m, lp.EQ, 1))
     return lp.LinearProgram(objective=objective, constraints=tuple(constraints))
 
 
@@ -371,8 +383,7 @@ def is_efficient(
     for feasibility of ``U``; otherwise infeasibility of the LP signals that
     ``U`` is not achievable at all.
     """
-    if U.n != P.n:
-        raise ValueError("utility profile size differs from agent count")
+    require_profile_size(P, U)
     if source is not None and utilities(P, source) != U:
         raise ValueError("source mixture does not realize the supplied utilities")
     out = lp.solve_lp(_efficiency_lp(P, U))
@@ -404,8 +415,7 @@ def epsilon_inefficiency(
     bisection on that grid would return).  An efficient profile returns 1;
     smaller values mean the profile is further inside the feasible set.
     """
-    if U.n != P.n:
-        raise ValueError("utility profile size differs from agent count")
+    require_profile_size(P, U)
     if all(x == 0 for x in U.U):
         raise ValueError("at least one utility must be positive")
     tol = Fraction(tol)
@@ -415,12 +425,10 @@ def epsilon_inefficiency(
     # variables z'_0..z'_{m-1}, t >= 0: maximize t s.t. u_i . z' - t * U_i >= 0,
     # one row per type at its largest U_i
     constraints = [
-        (row + (-floor,), lp.GE, Fraction(0)) for row, floor in _type_floors(P, U)
+        (row + (-floor,), lp.GE, 0) for row, floor in _type_floors(P, U)
     ]
-    constraints.append(((Fraction(1),) * P.m + (Fraction(0),), lp.EQ, Fraction(1)))
-    prog = lp.LinearProgram(
-        objective=(Fraction(0),) * P.m + (Fraction(1),), constraints=tuple(constraints)
-    )
+    constraints.append(((1,) * P.m + (0,), lp.EQ, 1))
+    prog = lp.LinearProgram(objective=(0,) * P.m + (1,), constraints=tuple(constraints))
     t = lp.solve_lp(prog).value
     if t < 1:
         raise ValueError("utility profile is not feasible for this problem")

@@ -14,12 +14,11 @@ from (seed, n, m, draw index), so results do not depend on evaluation order.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from . import rules
-from .core import Problem
+from .core import Problem, format_rational
 
 __all__ = [
     "ExperimentGrid",
@@ -113,7 +112,7 @@ def grid_to_csv(results) -> str:
         "rule,n,m,draws,seed,min_ratio,avg_ratio",
     ]
     for rule, n, m, draws, seed, cell in results:
-        mn = f"{cell.min_ratio.numerator}/{cell.min_ratio.denominator}={float(cell.min_ratio):.6f}"
-        av = f"{cell.avg_ratio.numerator}/{cell.avg_ratio.denominator}={float(cell.avg_ratio):.6f}"
+        mn = f"{format_rational(cell.min_ratio)}={float(cell.min_ratio):.6f}"
+        av = f"{format_rational(cell.avg_ratio)}={float(cell.avg_ratio):.6f}"
         lines.append(f"{rule},{n},{m},{draws},{seed},{mn},{av}")
     return "\n".join(lines) + "\n"

@@ -85,16 +85,19 @@ _FIXTURES = {
 }
 
 
+# the appendix constructions, by name
+_TYPED_FIXTURES = {
+    "appendix36": lambda: appendix_36(misreport=False),
+    "appendix36-misreport": lambda: appendix_36(misreport=True),
+    "appendix860": lambda: appendix_860(misreport=False),
+    "appendix860-misreport": lambda: appendix_860(misreport=True),
+}
+
+
 def fixture(name: str) -> Problem:
     """Look up a named fixture problem."""
-    if name == "appendix36":
-        return appendix_36(misreport=False).to_problem()
-    if name == "appendix36-misreport":
-        return appendix_36(misreport=True).to_problem()
-    if name == "appendix860":
-        return appendix_860(misreport=False).to_problem()
-    if name == "appendix860-misreport":
-        return appendix_860(misreport=True).to_problem()
+    if name in _TYPED_FIXTURES:
+        return _TYPED_FIXTURES[name]().to_problem()
     try:
         rows = _FIXTURES[name]
     except KeyError:
@@ -103,12 +106,7 @@ def fixture(name: str) -> Problem:
 
 
 def fixture_names() -> tuple:
-    return tuple(_FIXTURES) + (
-        "appendix36",
-        "appendix36-misreport",
-        "appendix860",
-        "appendix860-misreport",
-    )
+    return tuple(_FIXTURES) + tuple(_TYPED_FIXTURES)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,6 @@ class NmpSolution:
 @dataclass(frozen=True)
 class HRuleSolution:
     z: Mixture
-    gap: Fraction  # the solver's final float stationarity residual
     iterations: int
     converged: bool
 
@@ -299,18 +298,18 @@ def egal_rule(P: Problem):
     """
     types, m = P.types, P.m
     classes = [cls for cls, _ in _outcome_classes(types, m)]
-    rows = [tuple(Fraction(mask >> cls[0] & 1) for cls in classes) for _, mask in types]
+    rows = [tuple(mask >> cls[0] & 1 for cls in classes) for _, mask in types]
     k, width = len(rows), len(classes)
-    simplex_row = ((Fraction(1),) * width + (Fraction(0),), lp.EQ, Fraction(1))
-    objective = (Fraction(0),) * width + (Fraction(1),)
+    simplex_row = ((1,) * width + (0,), lp.EQ, 1)
+    objective = (0,) * width + (1,)
 
     frozen = {}  # type index -> utility
     unfrozen = list(range(k))
     zstar = None
     while unfrozen:
         # variables: one weight per outcome class, then t
-        fixed = [(rows[j] + (Fraction(0),), lp.EQ, val) for j, val in frozen.items()]
-        floor = [(rows[j] + (Fraction(-1),), lp.GE, Fraction(0)) for j in unfrozen]
+        fixed = [(rows[j] + (0,), lp.EQ, val) for j, val in frozen.items()]
+        floor = [(rows[j] + (-1,), lp.GE, 0) for j in unfrozen]
         out = lp.solve_lp(
             lp.LinearProgram(objective, tuple([simplex_row] + floor + fixed))
         )
@@ -343,8 +342,8 @@ def _min_norm_weights(rows, vals, sizes, start) -> list:
     feasible ``start``.
     """
     k = len(sizes)
-    B = [(Fraction(1),) * k, *rows]
-    c = [Fraction(1), *vals]
+    B = [(1,) * k, *rows]
+    c = [1, *vals]
     w = list(start)
 
     working = {a for a in range(k) if w[a] == 0}
@@ -547,7 +546,7 @@ class _WelfareSolver:
                 break
         return z
 
-    def solve(self, tol_f: float, zf=None):
+    def solve(self, zf=None):
         """Run from class weights ``zf`` (default: the uniform mixture).
 
         Multiplicative step z_c <- z_c * g_c / lambda, averaged with the
@@ -555,11 +554,12 @@ class _WelfareSolver:
         iterations, once the residual is below lambda/10, Newton refinement
         tries to polish the iterate; a wrong support guess reseeds the
         violating classes.  The stop test is a stationarity residual of at
-        most tol/2 in units of lambda/n (1 for the log family).  Returns the
-        class weights with those at most ``_SNAP`` zeroed, the iteration
-        count, whether the stop test passed, and the last residual.
+        most ``DEFAULT_NMP_TOL``/2 in units of lambda/n (1 for the log
+        family).  Returns the class weights with those at most ``_SNAP``
+        zeroed, the iteration count, and whether the stop test passed.
         """
         members, liking, n = self.members, self.liking, self.n
+        tol_f = float(DEFAULT_NMP_TOL)
         zf = zf or [len(group) / self.m for group in self.outcomes]
 
         def util(zz):
@@ -588,7 +588,7 @@ class _WelfareSolver:
                 if refined is not None:
                     ref_res, ref_g, ref_lam = residual(refined)
                     if ref_res <= tol_f * 0.5 * (ref_lam / n):
-                        zf, res, converged = refined, ref_res, True
+                        zf, converged = refined, True
                         break
                     if ref_res < res:
                         # correct direction but not converged, or the support
@@ -611,7 +611,7 @@ class _WelfareSolver:
             zf, obj = cand, cand_obj
         zf = [0.0 if x <= _SNAP else x for x in zf]
         total = sum(zf)
-        return [x / total for x in zf], iterations, converged, res
+        return [x / total for x in zf], iterations, converged
 
 
 class _LogWelfare(_WelfareSolver):
@@ -656,27 +656,22 @@ class _PowerWelfare(_WelfareSolver):
         return sum(c * self.sign * u**self.q for c, u in zip(self.counts, U))
 
 
-def nmp_rule(
-    P: Union[Problem, TypedProfile], tol: Fraction = DEFAULT_NMP_TOL
-) -> NmpSolution:
+def nmp_rule(P: Union[Problem, TypedProfile]) -> NmpSolution:
     """Nash max product: maximize the sum of log utilities over the simplex.
 
     The log member of the welfare solver, whose step is z_a <- z_a * (1/n)
     * sum over agents liking a of 1/U_i.  The final iterate is rounded to
     exact rationals and certified by ``kkt_residual``.  When the float stop
-    test passed but the exact residual exceeds ``tol`` (zeroing a tiny class
-    weight moved the utilities of small-utility types), the solver resumes
-    once from the snapped class weights.
+    test passed but the exact residual exceeds ``DEFAULT_NMP_TOL`` (zeroing a
+    tiny class weight moved the utilities of small-utility types), the
+    solver resumes once from the snapped class weights.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     solver = _LogWelfare(P)
-    zf, iterations, converged, _ = solver.solve(float(tol))
+    zf, iterations, converged = solver.solve()
     mix = solver.mixture(zf)
     residual = kkt_residual(P, mix)
-    if converged and residual > tol:
-        zf, extra, converged, _ = solver.solve(float(tol), zf)
+    if converged and residual > DEFAULT_NMP_TOL:
+        zf, extra, converged = solver.solve(zf)
         iterations += extra
         mix = solver.mixture(zf)
         residual = kkt_residual(P, mix)
@@ -684,32 +679,21 @@ def nmp_rule(
         z=mix,
         kkt_residual=residual,
         iterations=iterations,
-        converged=converged and residual <= tol,
+        converged=converged and residual <= DEFAULT_NMP_TOL,
     )
 
 
-def h_rule(
-    P: Union[Problem, TypedProfile], q, tol: Fraction = DEFAULT_NMP_TOL
-) -> HRuleSolution:
+def h_rule(P: Union[Problem, TypedProfile], q) -> HRuleSolution:
     """Power-family welfare rule: maximize sum of sign(q) * U_i^q, q < 1, q != 0.
 
     The power member of the welfare solver, with gradient weights h'(U) =
     |q| * U^(q-1).  The objective is strictly concave in utilities, so the
     optimal utility profile is unique.
     """
-    q, tol = Fraction(q), Fraction(tol)
-    if q >= 1 or q == 0:
-        raise ValueError("h_rule requires q < 1 and q != 0")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    q = HRULE(q).q  # RuleId refuses q >= 1 and q == 0
     solver = _PowerWelfare(P, float(q))
-    zf, iterations, converged, gap = solver.solve(float(tol))
-    return HRuleSolution(
-        z=solver.mixture(zf),
-        gap=Fraction(gap).limit_denominator(10**15),
-        iterations=iterations,
-        converged=converged,
-    )
+    zf, iterations, converged = solver.solve()
+    return HRuleSolution(z=solver.mixture(zf), iterations=iterations, converged=converged)
 
 
 # ---------------------------------------------------------------------------

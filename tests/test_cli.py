@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+import time
 from fractions import Fraction
 
 import pytest
@@ -274,3 +276,89 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["solve", "--rule", "cut", "--fixture", "ex3", "--bogus"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- names
+
+
+def _listed(command, option):
+    """The names the help string of ``command``'s ``option`` lists."""
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    action = next(a for a in subs.choices[command]._actions if option in a.option_strings)
+    return action.help.split("|")
+
+
+def _cases(name):
+    mixed = "".join(c.upper() if i % 2 else c for i, c in enumerate(name))
+    return [name.lower(), name.upper(), mixed]
+
+
+@pytest.mark.parametrize(
+    "rule", [case for name in _listed("solve", "--rule") for case in _cases(name)]
+)
+def test_every_listed_rule_name_is_accepted(capsys, rule):
+    q = ("--q", "1/2") if rule.upper() == "HRULE" else ()
+    code, out, err = run(capsys, "solve", "--rule", rule, *q, "--fixture", "ex3")
+    assert code == 0 and err == ""
+    assert core.parse_mixture(out).m == 5
+
+
+@pytest.mark.parametrize("axiom", _listed("check", "--axiom"))
+def test_every_listed_axiom_name_is_accepted(capsys, axiom):
+    # dec-m is polarized, so dec applies
+    code, out, err = run(capsys, "check", "--axiom", axiom, "--rule", "cut",
+                         "--fixture", "dec-m")
+    assert code in (0, 1) and err == ""
+    assert out.startswith(f"{axiom.upper()} rule=CUT result=")
+
+
+_FAMILY_ARGS = {
+    "cut-worstcase": ("--n1", "5", "--n2", "5", "--p", "4"),
+    "rp-worstcase": ("--k", "3", "--d", "2", "--ell", "2"),
+}
+
+
+@pytest.mark.parametrize("family", _listed("construct", "--family"))
+def test_every_listed_family_is_accepted(capsys, family):
+    code, out, err = run(capsys, "construct", "--family", family,
+                         *_FAMILY_ARGS.get(family, ()))
+    assert code == 0 and err == ""
+    assert core.parse_problem(out).n >= 1
+
+
+@pytest.mark.parametrize("name", generators.fixture_names())
+def test_every_fixture_name_is_accepted(capsys, name):
+    code, out, err = run(capsys, "solve", "--rule", "cut", "--fixture", name)
+    assert code == 0 and err == ""
+    assert core.parse_mixture(out).m == generators.fixture(name).m
+
+
+def test_hrule_without_q_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "solve", "--rule", "hrule", "--fixture", "ex3")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+# ---------------------------------------------------------------- input caps
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--rule", "hrule", "--q", "1e999999999", "--fixture", "ex3"),
+    ("check", "--axiom", "ifs", "--mixture", "1e999999999 0 0", "--fixture", "dec-m"),
+])
+def test_huge_exponent_fails_fast(capsys, argv):
+    # Fraction would build 10**999999999 exactly
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "exponent" in err
+
+
+def test_huge_typed_count_fails_fast(capsys, tmp_path):
+    # expanding 10^9 rows would take about 30 GB
+    path = tmp_path / "huge.prob"
+    path.write_text("typed 1\n1000000000 1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "solve", "--rule", "cut", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "agents" in err

@@ -4,8 +4,10 @@ mixtures and rationals.
 Formatting then parsing must give back the same object, and malformed text
 must raise ``ValueError`` (the CLI's exit 2) and nothing else.  Every
 strategy is bounded: at most 8 agents and 6 outcomes, typed counts up to
-20, decimal exponents up to 30 in size, and at most three character edits,
-so no draw can expand a huge typed count or evaluate ``1eN`` with a huge N.
+20, decimal exponents up to 10^6 in size, and at most three character
+edits.  An exponent above ``core.MAX_EXPONENT`` is refused before
+``Fraction`` builds its power of ten, so every draw parses cheaply or fails
+fast.
 """
 
 from fractions import Fraction
@@ -25,7 +27,7 @@ from fairmix.core import (
     parse_rational,
 )
 
-MAX_AGENTS, MAX_OUTCOMES, MAX_COUNT, MAX_EXPONENT = 8, 6, 20, 30
+MAX_AGENTS, MAX_OUTCOMES, MAX_COUNT, MAX_EXPONENT = 8, 6, 20, 10**6
 
 
 @st.composite
