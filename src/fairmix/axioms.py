@@ -13,7 +13,6 @@ None``) instead of a verdict.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, rules
@@ -22,7 +21,6 @@ from .core import require_profile_size, utilities
 
 __all__ = [
     "SpVariant",
-    "Partition",
     "polarized_partition",
     "check_ifs",
     "check_ufs",
@@ -69,26 +67,9 @@ class SpVariant(enum.Enum):
     EXSP = "exsp"
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Aligned partitions of agents and outcomes into polarized blocks."""
-
-    agent_blocks: tuple  # tuple of tuples of agent indices
-    outcome_blocks: tuple  # tuple of tuples of outcome indices
-
-    def __post_init__(self) -> None:
-        if len(self.agent_blocks) != len(self.outcome_blocks):
-            raise ValueError("agent and outcome partitions must align")
-        if any(not b for b in self.agent_blocks + self.outcome_blocks):
-            raise ValueError("partition blocks must be nonempty")
-
-    @property
-    def blocks(self) -> int:
-        return len(self.agent_blocks)
-
-
-def polarized_partition(P: Problem) -> Partition:
-    """Connected components of the agent-outcome incidence graph.
+def polarized_partition(P: Problem) -> tuple:
+    """Connected components of the agent-outcome incidence graph, as
+    (agents, outcomes) blocks of sorted indices.
 
     Clone classes whose like-sets meet are merged into one block.  Blocks are
     ordered by their smallest outcome index.  Outcomes liked by nobody get
@@ -106,9 +87,8 @@ def polarized_partition(P: Problem) -> Partition:
     # the last block also takes the outcomes nobody likes: all outcomes but
     # those of the other blocks, whose masks are disjoint
     blocks[-1] = ((1 << P.m) - 1 - sum(b[0] for b in blocks[:-1]), blocks[-1][1])
-    return Partition(
-        agent_blocks=tuple(tuple(sorted(agents)) for _, agents in blocks),
-        outcome_blocks=tuple(_mask_to_tuple(mask) for mask, _ in blocks),
+    return tuple(
+        (tuple(sorted(agents)), _mask_to_tuple(mask)) for mask, agents in blocks
     )
 
 
@@ -188,7 +168,7 @@ def check_gfs(P: Problem, U: UtilityProfile, z: Mixture) -> AxiomVerdict:
         pooled = 0
         for mask, _ in coalition:
             pooled |= mask
-        weight = sum((z.z[a] for a in range(P.m) if pooled >> a & 1), _ZERO)
+        weight = z.weight_on(pooled)
         share = Fraction(size, P.n)
         if weight < share:
             return AxiomVerdict(
@@ -293,30 +273,14 @@ def _mask_to_tuple(mask: int) -> tuple:
 # strategyproofness
 
 
-def _admissible_misreports(truth: int, m: int, variant: SpVariant):
-    full = (1 << m) - 1
-    for mask in range(1, full + 1):
-        if mask == truth:
-            continue
-        if variant is SpVariant.SP_PLUS and (mask & truth) != truth:
-            continue
-        if variant in (SpVariant.SP_MINUS, SpVariant.SP_STAR) and (
-            mask | truth
-        ) != truth:
-            continue
-        yield mask
-
-
-def _deviation_payoff(
-    variant: SpVariant, truth: int, report: int, z: Mixture
-) -> Fraction:
-    if variant in (SpVariant.SP, SpVariant.SP_PLUS, SpVariant.SP_STAR):
-        consume = truth
-    elif variant is SpVariant.SP_MINUS:
-        consume = report
-    else:  # EXSP: consumption capped at the coordinate-wise minimum
-        consume = truth & report
-    return sum((z.z[a] for a in range(z.m) if consume >> a & 1), _ZERO)
+# (admits(truth, report), consumed(truth, report)) per variant, on like-masks
+_SP_VARIANTS = {
+    SpVariant.SP: (lambda t, r: True, lambda t, r: t),
+    SpVariant.SP_PLUS: (lambda t, r: r & t == t, lambda t, r: t),
+    SpVariant.SP_MINUS: (lambda t, r: r | t == t, lambda t, r: r),
+    SpVariant.SP_STAR: (lambda t, r: r | t == t, lambda t, r: t),
+    SpVariant.EXSP: (lambda t, r: True, lambda t, r: t & r),
+}
 
 
 def check_sp(rule: rules.RuleId, P: Problem, variant: SpVariant) -> AxiomVerdict:
@@ -334,14 +298,17 @@ def check_sp(rule: rules.RuleId, P: Problem, variant: SpVariant) -> AxiomVerdict
         raise ValueError(
             f"check_sp for exact rules is capped at n <= {SP_MAX_AGENTS_EXACT}"
         )
+    admits, consumed = _SP_VARIANTS[variant]
     guard = _tie_guard(rule)
     truthful_U, _ = rules.evaluate(rule, P)
     near_tie = None
     for truth, (i, *_) in P.clone_classes:
-        for report in _admissible_misreports(truth, P.m, variant):
+        for report in range(1, 1 << P.m):
+            if report == truth or not admits(truth, report):
+                continue
             row = tuple(1 if report >> a & 1 else 0 for a in range(P.m))
             _, zprime = rules.evaluate(rule, P.replace_row(i, row))
-            payoff = _deviation_payoff(variant, truth, report, zprime)
+            payoff = zprime.weight_on(consumed(truth, report))
             gain = payoff - truthful_U[i]
             if gain > guard:
                 return AxiomVerdict(
@@ -385,9 +352,7 @@ def check_participation(
     near_tie = None
     for i in range(P.n):
         _, z_without = rules.evaluate(rule, P.drop_agent(i))
-        absent = sum(
-            (z_without.z[a] for a in range(P.m) if P.u[i][a]), _ZERO
-        )
+        absent = z_without.weight_on(P.like_mask(i))
         witness = {
             "agent": i,
             "with_ballot": U[i],
@@ -395,14 +360,10 @@ def check_participation(
         }
         if U[i] < absent - guard:
             return AxiomVerdict(passed=False, witness=witness)
-        if strict and absent < 1 - guard:
+        if strict and absent < 1 - guard and U[i] <= absent + guard:
             if U[i] <= absent - guard:
                 return AxiomVerdict(passed=False, witness=witness)
-            if U[i] <= absent + guard:
-                if guard > 0:
-                    near_tie = witness
-                else:
-                    return AxiomVerdict(passed=False, witness=witness)
+            near_tie = witness
     if near_tie is not None:
         return AxiomVerdict(passed=None, witness=near_tie)
     return AxiomVerdict(passed=True)
@@ -420,14 +381,12 @@ def check_dec(rule: rules.RuleId, P: Problem) -> AxiomVerdict:
     on her own block, exactly for exact rules, within the guard for numeric
     ones.
     """
-    part = polarized_partition(P)
-    if part.blocks < 2:
+    blocks = polarized_partition(P)
+    if len(blocks) < 2:
         raise ValueError("no polarized structure: the problem is connected")
     guard = _tie_guard(rule)
     U, _ = rules.evaluate(rule, P)
-    for k in range(part.blocks):
-        agents = part.agent_blocks[k]
-        outcomes = part.outcome_blocks[k]
+    for k, (agents, outcomes) in enumerate(blocks):
         sub = Problem(
             tuple(tuple(P.u[i][a] for a in outcomes) for i in agents)
         )

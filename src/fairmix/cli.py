@@ -218,8 +218,8 @@ def _verify_sp0() -> bool:
     print(f"sp0 residual at truthful optimum (1/16,1/16,1/16,1/4,9/16): {r2}")
     # switching agents: truthful consumption 3/16 + 1/4 = 7/16; after dropping
     # b they consume 3 * 1/6 = 1/2 despite losing access to b.
-    before = generators.SP0_Z_TRUTHFUL.weight_on((0, 1, 2, 3))
-    after = generators.SP0_Z_REPORTED.weight_on((0, 1, 2))
+    before = generators.SP0_Z_TRUTHFUL.weight_on(0b1111)
+    after = generators.SP0_Z_REPORTED.weight_on(0b111)
     print(f"sp0 switching agents: {before} truthfully vs {after} after dropping b")
     ok = r1 == 0 and r2 == 0 and after > before
     print("sp0:", "OK (both stationary exactly, drop is profitable)" if ok else "FAILED")

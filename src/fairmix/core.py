@@ -41,7 +41,7 @@ __all__ = [
     "DEFAULT_EPSILON_TOL",
 ]
 
-DEFAULT_EPSILON_TOL = Fraction(1, 2**30)
+DEFAULT_EPSILON_TOL = Fraction(1, 2**30)  # step of epsilon_inefficiency's grid
 MAX_EXPONENT = 1000  # Fraction builds 10**exponent exactly
 MAX_TYPED_AGENTS = 2_000_000  # each expands to a row; appendix_sp0 has 1,227,856
 
@@ -128,8 +128,9 @@ class Mixture:
     def m(self) -> int:
         return len(self.z)
 
-    def weight_on(self, outcomes) -> Fraction:
-        return sum((self.z[a] for a in outcomes), Fraction(0))
+    def weight_on(self, mask: int) -> Fraction:
+        """Total weight on the outcomes of the like-mask ``mask``."""
+        return sum((x for a, x in enumerate(self.z) if mask >> a & 1), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -403,24 +404,19 @@ def is_efficient(
     )
 
 
-def epsilon_inefficiency(
-    P: Problem, U: UtilityProfile, tol: Fraction = DEFAULT_EPSILON_TOL
-) -> Fraction:
-    """Smallest ``eps`` (within ``tol``) with ``U <= eps * U'`` for feasible ``U'``.
+def epsilon_inefficiency(P: Problem, U: UtilityProfile) -> Fraction:
+    """Smallest ``eps`` with ``U <= eps * U'`` for feasible ``U'``, to ``2^-30``.
 
     One LP gives the exact optimum: the largest ``t`` such that some mixture
     ``z'`` gives every agent at least ``t * U_i``; then ``eps* = 1/t*``.  The
-    result is ``eps*`` rounded up to the dyadic grid of step ``2^-k``, where
-    ``k >= 0`` is the smallest integer with ``2^-k <= tol`` (the value a
-    bisection on that grid would return).  An efficient profile returns 1;
-    smaller values mean the profile is further inside the feasible set.
+    result is ``eps*`` rounded up to the dyadic grid of step
+    ``DEFAULT_EPSILON_TOL`` = 2^-30 (the value a bisection on that grid would
+    return).  An efficient profile returns 1; smaller values mean the profile
+    is further inside the feasible set.
     """
     require_profile_size(P, U)
     if all(x == 0 for x in U.U):
         raise ValueError("at least one utility must be positive")
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
 
     # variables z'_0..z'_{m-1}, t >= 0: maximize t s.t. u_i . z' - t * U_i >= 0,
     # one row per type at its largest U_i
@@ -432,5 +428,5 @@ def epsilon_inefficiency(
     t = lp.solve_lp(prog).value
     if t < 1:
         raise ValueError("utility profile is not feasible for this problem")
-    grid = 2 ** (math.ceil(1 / tol) - 1).bit_length()  # 2^k, the least >= 1/tol
+    grid = DEFAULT_EPSILON_TOL.denominator
     return Fraction(math.ceil(grid / t), grid)

@@ -34,9 +34,11 @@ __all__ = [
     "SP0_Z_REPORTED",
     "SP0_Z_TRUTHFUL",
     "RP_WORSTCASE_MAX_OUTCOMES",
+    "CUT_WORSTCASE_MAX_CELLS",
 ]
 
 RP_WORSTCASE_MAX_OUTCOMES = 2 * 10**5
+CUT_WORSTCASE_MAX_CELLS = 4 * 10**6  # the N = 1000 instance has about 2.0M
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +130,8 @@ class CutWorstCaseParams:
     def __post_init__(self) -> None:
         if min(self.n1, self.n2, self.p) < 1:
             raise ValueError("parameters must be positive")
+        if (self.n1 + self.n2) * (2 * self.n2 + 1) > CUT_WORSTCASE_MAX_CELLS:
+            raise ValueError(f"instance would exceed {CUT_WORSTCASE_MAX_CELLS} cells")
         if not (self.p < self.n1 and self.p < self.n2):
             raise ValueError("requires p < n1 and p < n2")
         if ((self.p - 1) * self.n2) % self.n1 != 0:
@@ -210,8 +214,8 @@ def rp_worstcase(params: RpWorstCaseParams) -> Problem:
     return Problem(tuple(rows))
 
 
-def _cbrt_rational(n: int, digits: int = 9) -> Fraction:
-    """Rational approximation of n**(1/3), accurate to 10**-digits."""
+def _cbrt_rational(n: int, up: bool, digits: int = 9) -> Fraction:
+    """n**(1/3) rounded down, or up when ``up``, to the grid 10**-digits."""
     scale = 10**digits
     target = n * scale**3
     lo, hi = 0, max(2, n)* scale
@@ -221,17 +225,21 @@ def _cbrt_rational(n: int, digits: int = 9) -> Fraction:
             lo = mid
         else:
             hi = mid - 1
+    if up and lo**3 < target:
+        lo += 1
     return Fraction(lo, scale)
 
 
 def cut_bound(n: int) -> Fraction:
     """Guaranteed efficiency of CUT: 1/n + (1 - 1/n^(1/3)) * 3/n^(1/3).
 
-    The cube root is approximated rationally to 10**-9.
+    The cube root is rounded to 10**-9 on the side that keeps the bound a
+    guarantee: down for n <= 8, up for n > 8, where the bound falls as the
+    root grows.
     """
     if n < 5:
         raise ValueError("cut_bound requires n >= 5")
-    c = _cbrt_rational(n)
+    c = _cbrt_rational(n, up=n > 8)
     return Fraction(1, n) + (1 - 1 / c) * (3 / c)
 
 

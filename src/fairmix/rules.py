@@ -402,7 +402,7 @@ def kkt_residual(P: Union[Problem, TypedProfile], z: Mixture) -> Fraction:
         raise ValueError("dimension mismatch")
     inv = []
     for count, mask in types:
-        U = sum((z.z[a] for a in range(m) if mask >> a & 1), Fraction(0))
+        U = z.weight_on(mask)
         if U == 0:
             raise ValueError("kkt_residual needs every agent utility positive")
         inv.append(Fraction(count) / U)

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairmix import axioms, core, generators, lp, rules
@@ -23,6 +23,7 @@ from fairmix.axioms import (
     polarized_partition,
 )
 from fairmix.core import Mixture, Problem, UtilityProfile, utilities
+from test_rules import _nested_profiles
 
 F = Fraction
 
@@ -362,6 +363,56 @@ def test_nmp_sp_plus_violation_on_36_agent_profile():
     assert verdict.witness["gain"] > F(1, 1000)
 
 
+# (report admissible for the truth, outcomes the agent then consumes), on
+# sets, as the variants are defined
+_SP_DEFINITIONS = {
+    SpVariant.SP: (lambda truth, report: True, lambda truth, report: truth),
+    SpVariant.SP_PLUS: (lambda truth, report: report >= truth,
+                        lambda truth, report: truth),
+    SpVariant.SP_MINUS: (lambda truth, report: report <= truth,
+                         lambda truth, report: report),
+    SpVariant.SP_STAR: (lambda truth, report: report <= truth,
+                        lambda truth, report: truth),
+    SpVariant.EXSP: (lambda truth, report: True,
+                     lambda truth, report: truth & report),
+}
+
+
+def _misreport_gains(rule, P, variant):
+    """Gain of every admissible misreport, keyed by (agent, reported set):
+    every agent, clones included, and every nonempty like-set but its own."""
+    admissible, consumed = _SP_DEFINITIONS[variant]
+    U = rules.evaluate(rule, P)[0]
+    gains = {}
+    for i in range(P.n):
+        truth = frozenset(a for a in range(P.m) if P.u[i][a])
+        for bits in itertools.product((0, 1), repeat=P.m):
+            report = frozenset(a for a in range(P.m) if bits[a])
+            if not report or report == truth or not admissible(truth, report):
+                continue
+            z = rules.evaluate(rule, Problem(P.u[:i] + (bits,) + P.u[i + 1:]))[1]
+            gains[i, report] = sum(z.z[a] for a in consumed(truth, report)) - U[i]
+    return gains
+
+
+@settings(max_examples=200, deadline=None)
+@given(_nested_profiles(max_agents=4).filter(lambda P: P.m <= 3))
+@example(generators.fixture("egal-true"))
+def test_check_sp_matches_misreport_walk_oracle(P):
+    for rule in (rules.UTIL, rules.CUT, rules.RP, rules.EGAL):
+        for variant in SpVariant:
+            gains = _misreport_gains(rule, P, variant)
+            verdict = check_sp(rule, P, variant)
+            assert verdict.passed is all(g <= 0 for g in gains.values())
+            if not verdict:
+                w = verdict.witness
+                key = (w["agent"], frozenset(w["misreport"]))
+                assert key in gains  # the report is admissible for the variant
+                assert w["gain"] == gains[key] > 0
+                assert w["deviation_payoff"] == w["truthful_utility"] + w["gain"]
+                assert w["truthful_utility"] == rules.evaluate(rule, P)[0][w["agent"]]
+
+
 def test_sp_size_refusals():
     wide = Problem((tuple([1] * 7),))
     with pytest.raises(ValueError):
@@ -405,11 +456,11 @@ def test_participation_needs_two_agents():
 
 def test_polarized_partition_shapes():
     part = polarized_partition(generators.fixture("dec-m"))
-    assert part.blocks == 3
+    assert len(part) == 3
     part2 = polarized_partition(generators.fixture("dec-mprime"))
-    assert part2.blocks == 2
+    assert len(part2) == 2
     connected = polarized_partition(EX3)
-    assert connected.blocks == 1
+    assert len(connected) == 1
 
 
 def test_dec_pass_and_fail_on_polarized_pair():

@@ -362,3 +362,14 @@ def test_huge_typed_count_fails_fast(capsys, tmp_path):
     code, out, err = run(capsys, "solve", "--rule", "cut", str(path))
     assert time.perf_counter() - start < 1
     assert code == 2 and out == "" and "agents" in err
+
+
+@pytest.mark.parametrize("n1, n2", [("2", "99999999"), ("99999999", "3")])
+def test_huge_cut_worstcase_fails_fast(capsys, n1, n2):
+    # with p = 1, n1 divides (p - 1) * n2 = 0 for every n1, so both sizes
+    # pass the family's own conditions; the matrix would have 10^8+ rows
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "--family", "cut-worstcase",
+                         "--n1", n1, "--n2", n2, "--p", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "cells" in err

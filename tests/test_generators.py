@@ -65,6 +65,14 @@ def test_cut_worstcase_params_validation():
     assert params.q == 3
 
 
+def test_cut_worstcase_size_cap():
+    # with p = 1 every n1 divides (p - 1) * n2 = 0, so only the cap bounds n1
+    for n1, n2 in ((2, 99999999), (99999999, 3)):
+        with pytest.raises(ValueError, match="cells"):
+            CutWorstCaseParams(n1=n1, n2=n2, p=1)
+    CutWorstCaseParams(n1=2, n2=1000, p=1)  # the N = 1000 instance, 2.0M cells
+
+
 def test_cut_worstcase_example_instance():
     P = cut_worstcase(CutWorstCaseParams(n1=5, n2=5, p=4))
     assert (P.n, P.m) == (10, 11)
@@ -106,6 +114,31 @@ def test_cut_bound_values():
         assert abs(cut_bound(n) - want) <= F(1, 100)
     with pytest.raises(ValueError):
         cut_bound(4)
+
+
+def _bound_at_safe_root(n):
+    """The CUT bound 1/n + 3/c - 3/c^2 at c = n^(1/3) rounded to 10^-15
+    toward the side that lowers the bound (down for n <= 8, up above,
+    where the bound falls as c grows): a float first guess, made exact by
+    integer cube comparisons."""
+    scale = 10**15
+    target = n * scale**3
+    c = round(n ** (1 / 3) * scale)
+    while c**3 > target:
+        c -= 1
+    while (c + 1) ** 3 <= target:
+        c += 1
+    if n > 8 and c**3 < target:
+        c += 1
+    return F(1, n) + F(3 * scale, c) - F(3 * scale * scale, c * c)
+
+
+def test_cut_bound_is_a_guarantee():
+    # the returned bound must not exceed the bound at the true cube root;
+    # the finer, safely rounded root sits between the true root and the
+    # 10^-9 one, so it bounds cut_bound from above
+    for n in list(range(5, 13)) + [27, 100, 1000, 1024, 4096, 12345, 2**20]:
+        assert cut_bound(n) <= _bound_at_safe_root(n), n
 
 
 def test_cut_bound_eventually_decreasing():

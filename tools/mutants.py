@@ -1,0 +1,142 @@
+"""Mutation gate: every mutant below must make its target test fail.
+
+Each mutant is (file, exact old text, new text, pytest node id).  The script
+copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
+first runs every target on the unmutated copy (they must pass), then applies
+one mutant at a time and requires its target to fail.  A mutant whose old
+text does not occur exactly once in its file fails the gate too, so a
+refactor of the code under test must carry its mutants along.
+
+Run from anywhere: ``python tools/mutants.py``.  Exit status 0 when every
+mutant is killed, 1 otherwise.  Hypothesis targets run with a fixed seed
+and without shrinking (a ``conftest.py`` in the copy loads that profile),
+so a killed mutant stops at its first failing example.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120  # per target run; a mutant that hangs its target fails the gate
+CONFTEST = """\
+from hypothesis import Phase, settings
+
+settings.register_profile("mutants", phases=[Phase.explicit, Phase.generate])
+"""
+
+MUTANTS = [
+    # lp: a ">=" row gets a "<=" slack
+    ("src/fairmix/lp.py",
+     "line[slack] = Fraction(1 if rel == LE else -1)",
+     "line[slack] = Fraction(1)",
+     "tests/test_lp.py::test_optimal_solution_satisfies_constraints_exactly"),
+    # lp: phase 1 never reports infeasibility
+    ("src/fairmix/lp.py",
+     "if rows.pop()[-1] != 0:",
+     "if rows.pop()[-1] < 0:",
+     "tests/test_lp.py::test_infeasible_simplex_constraint"),
+    # lp: the duals of "<=" rows get the sign of ">=" rows
+    ("src/fairmix/lp.py",
+     "next(costs) * (-1 if rel == LE else 1)",
+     "next(costs) * (1 if rel == LE else 1)",
+     "tests/test_lp.py::test_strong_duality_spot_check"),
+    # EGAL: every floor dual is <= 0, so this freezes zero-dual types too
+    ("src/fairmix/rules.py",
+     "zip(unfrozen, out.duals[1:]) if y != 0]",
+     "zip(unfrozen, out.duals[1:]) if y <= 0]",
+     "tests/test_rules.py::test_egal_is_leximin_on_small_instances"),
+    # AFS: the s largest utilities instead of the s smallest
+    ("src/fairmix/axioms.py",
+     "key=U.__getitem__)",
+     "key=U.__getitem__, reverse=True)",
+     "tests/test_axioms.py::test_coalition_checkers_match_agent_walk_oracle"),
+    # CFS: coalition rows without the share factor |S|/n
+    ("src/fairmix/axioms.py",
+     "(tuple(share * (mask >> a & 1) for a in range(P.m)), lp.GE, U[agents[0]])",
+     "(tuple(mask >> a & 1 for a in range(P.m)), lp.GE, U[agents[0]])",
+     "tests/test_axioms.py::test_coalition_checkers_match_agent_walk_oracle"),
+    # GFS: the share counts clone classes instead of agents
+    ("src/fairmix/axioms.py",
+     "weight = z.weight_on(pooled)\n        share = Fraction(size, P.n)",
+     "weight = z.weight_on(pooled)\n        share = Fraction(len(coalition), P.n)",
+     "tests/test_axioms.py::test_coalition_checkers_match_agent_walk_oracle"),
+    # EXSP: consumption of the truth instead of truth & report
+    ("src/fairmix/axioms.py",
+     "lambda t, r: t & r)",
+     "lambda t, r: t)",
+     "tests/test_axioms.py::test_check_sp_matches_misreport_walk_oracle"),
+    # SP-: consumption of the truth instead of the report
+    ("src/fairmix/axioms.py",
+     "SpVariant.SP_MINUS: (lambda t, r: r | t == t, lambda t, r: r)",
+     "SpVariant.SP_MINUS: (lambda t, r: r | t == t, lambda t, r: t)",
+     "tests/test_axioms.py::test_check_sp_matches_misreport_walk_oracle"),
+    # strict participation: an exact tie becomes a near-tie, not a failure
+    ("src/fairmix/axioms.py",
+     "            if U[i] <= absent - guard:",
+     "            if U[i] < absent - guard:",
+     "tests/test_axioms.py::test_participation_strict_egal_fails_with_clone"),
+    # cut_bound: the cube root rounded down for n > 8 overstates the bound
+    ("src/fairmix/generators.py",
+     "c = _cbrt_rational(n, up=n > 8)",
+     "c = _cbrt_rational(n, up=False)",
+     "tests/test_generators.py::test_cut_bound_is_a_guarantee"),
+]
+
+
+def _pytest(work: Path, targets) -> int | str:
+    env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+    shutil.rmtree(work / ".hypothesis", ignore_errors=True)
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", "--hypothesis-profile=mutants", *targets]
+    try:
+        return subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return "timeout"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    ok = True
+    for path, old, _new, _target in MUTANTS:
+        count = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if count != 1:
+            print(f"STALE  {path}: old text found {count} times: {old!r}")
+            ok = False
+    if not ok:
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, work / name, ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        (work / "tests" / "conftest.py").write_text(CONFTEST, encoding="utf-8")
+        targets = sorted({target for *_, target in MUTANTS})
+        code = _pytest(work, targets)
+        if code != 0:
+            print(f"BASELINE targets exit {code} on the unmutated copy")
+            return 1
+        for path, old, new, target in MUTANTS:
+            original = (work / path).read_text(encoding="utf-8")
+            (work / path).write_text(original.replace(old, new), encoding="utf-8")
+            t0 = time.perf_counter()
+            code = _pytest(work, [target])  # 1: tests ran and failed
+            (work / path).write_text(original, encoding="utf-8")
+            verdict = "killed" if code == 1 else f"SURVIVED (exit {code})"
+            print(f"{verdict:<20} {time.perf_counter() - t0:5.1f}s  {path}: "
+                  f"{old.strip()!r} -> {new.strip()!r}")
+            ok &= code == 1
+    print(f"{len(MUTANTS)} mutants, {time.perf_counter() - start:.1f}s total")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
