@@ -374,6 +374,46 @@ def test_egal_canonical_mixture_neutrality():
         assert zq.z == tuple(z.z[perm[a]] for a in range(P.m))
 
 
+def _is_min_norm(P, z):
+    """Exact KKT certificate that ``z`` is the minimum-norm mixture with its
+    utilities: some lambda has (B^T lambda)_a = z_a on the support and
+    (B^T lambda)_a <= 0 off it, B being the simplex row plus the agents'
+    distinct rows.  Decided as a feasibility LP in lambda = lambda+ - lambda-."""
+    B = [(1,) * P.m, *dict.fromkeys(P.u)]
+    constraints = []
+    for a, za in enumerate(z.z):
+        column = tuple(row[a] for row in B) + tuple(-row[a] for row in B)
+        if za > 0:
+            constraints.append((column, lp.EQ, za))
+        else:
+            constraints.append((tuple(-x for x in column), lp.GE, 0))
+    prog = lp.LinearProgram((0,) * len(column), tuple(constraints))
+    return lp.solve_lp(prog).status == "optimal"
+
+
+def test_egal_mixture_is_the_minimum_norm_one():
+    P = experiments.impartial_culture(5, 8, 4682)
+    U, z = egal_rule(P)
+    assert z.z == (F(3, 14), F(1, 6), F(5, 42), F(1, 7), F(1, 21), F(0), F(1, 6), F(1, 7))
+    assert sum(x * x for x in z.z) == F(10, 63)
+    assert _is_min_norm(P, z)
+    # repeated columns give outcome classes of different sizes, whose
+    # weights the min-norm step must scale by the class size
+    rng = random.Random(61)
+    problems = [generators.fixture(name) for name in generators.fixture_names()]
+    while len(problems) < 60:
+        n, m = rng.randint(2, 6), rng.randint(3, 7)
+        base = [tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(2, 4))]
+        cols = [rng.choice(base) for _ in range(m)]
+        rows = tuple(tuple(col[i] for col in cols) for i in range(n))
+        if all(any(row) for row in rows):
+            problems.append(Problem(rows))
+    for P in problems:
+        U, z = egal_rule(P)
+        assert utilities(P, z) == U
+        assert _is_min_norm(P, z)
+
+
 # ---------------------------------------------------------------- NMP
 
 
