@@ -15,9 +15,9 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from . import lp, rules
+from . import rules
 from .core import AxiomVerdict, Mixture, Problem, UtilityProfile, format_rational
-from .core import require_profile_size, utilities
+from .core import require_profile_size, surplus_lp, utilities
 
 __all__ = [
     "SpVariant",
@@ -230,27 +230,15 @@ def check_cfs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerd
     tol = Fraction(tol)
     for size, coalition in coalitions:
         share = Fraction(size, P.n)
-        support = [
-            sum(len(agents) for mask, agents in coalition if mask >> a & 1)
-            for a in range(P.m)
-        ]
-        base = sum((len(agents) * U[agents[0]] for _, agents in coalition), _ZERO)
+        floors = [(len(agents), mask, U[agents[0]]) for mask, agents in coalition]
+        support = [sum(c for c, mask, _ in floors if mask >> a & 1) for a in range(P.m)]
+        base = sum((c * floor for c, _, floor in floors), _ZERO)
         # cheap upper bound on the LP optimum: the objective is linear in z',
         # so it is maximized at a pure outcome; no block is possible unless
         # some outcome beats the coalition's current total
         if share * max(support) <= base + tol:
             continue
-        constraints = [
-            (tuple(share * (mask >> a & 1) for a in range(P.m)), lp.GE, U[agents[0]])
-            for mask, agents in coalition
-        ]
-        constraints.append(((1,) * P.m, lp.EQ, 1))
-        out = lp.solve_lp(
-            lp.LinearProgram(
-                objective=tuple(share * c for c in support),
-                constraints=tuple(constraints),
-            )
-        )
+        out = surplus_lp(P.m, floors, share)
         if out.status != "optimal":
             continue  # coalition cannot even match U: no block from S
         if out.value > base + tol:

@@ -354,23 +354,29 @@ def require_profile_size(P: Problem, U: UtilityProfile) -> None:
 
 
 def _type_floors(P: Problem, U: UtilityProfile) -> list:
-    """One (0/1 row, largest U_i) pair per agent type, in ``P.types`` order.
+    """One (count, like-mask, largest U_i) triple per type, in ``P.types`` order.
 
     Agents sharing a like-set get the same utility from any mixture, so the
     largest of their ``U_i`` is the one floor that binds for all of them.
     """
     return [
-        (tuple(mask >> a & 1 for a in range(P.m)), max(U[i] for i in agents))
-        for mask, agents in P.clone_classes
+        (len(agents), mask, max(U[i] for i in agents)) for mask, agents in P.clone_classes
     ]
 
 
-def _efficiency_lp(P: Problem, U: UtilityProfile) -> lp.LinearProgram:
-    # maximize sum_i (u_i . z' - U_i)  s.t.  u_i . z' >= U_i, z' in simplex
-    objective = tuple(P.column_sum(a) for a in range(P.m))
-    constraints = [(row, lp.GE, floor) for row, floor in _type_floors(P, U)]
-    constraints.append(((1,) * P.m, lp.EQ, 1))
-    return lp.LinearProgram(objective=objective, constraints=tuple(constraints))
+def surplus_lp(m: int, floors, scale=1) -> lp.LpOutcome:
+    """Maximize ``scale * sum count * (mask . z')`` subject to
+    ``scale * (mask . z') >= floor`` for each (count, like-mask, floor)
+    triple and ``z'`` in the simplex: the efficiency LP at scale 1, a
+    coalition's core-fair-share LP at its share."""
+    support = [sum(c for c, mask, _ in floors if mask >> a & 1) for a in range(m)]
+    constraints = [
+        (tuple(scale * (mask >> a & 1) for a in range(m)), lp.GE, floor)
+        for _, mask, floor in floors
+    ]
+    constraints.append(((1,) * m, lp.EQ, 1))
+    objective = tuple(scale * c for c in support)
+    return lp.solve_lp(lp.LinearProgram(objective, tuple(constraints)))
 
 
 def is_efficient(
@@ -387,7 +393,7 @@ def is_efficient(
     require_profile_size(P, U)
     if source is not None and utilities(P, source) != U:
         raise ValueError("source mixture does not realize the supplied utilities")
-    out = lp.solve_lp(_efficiency_lp(P, U))
+    out = surplus_lp(P.m, _type_floors(P, U))
     if out.status == "infeasible":
         raise ValueError("utility profile is not feasible for this problem")
     base = U.total()
@@ -421,7 +427,8 @@ def epsilon_inefficiency(P: Problem, U: UtilityProfile) -> Fraction:
     # variables z'_0..z'_{m-1}, t >= 0: maximize t s.t. u_i . z' - t * U_i >= 0,
     # one row per type at its largest U_i
     constraints = [
-        (row + (-floor,), lp.GE, 0) for row, floor in _type_floors(P, U)
+        (tuple(mask >> a & 1 for a in range(P.m)) + (-floor,), lp.GE, 0)
+        for _, mask, floor in _type_floors(P, U)
     ]
     constraints.append(((1,) * P.m + (0,), lp.EQ, 1))
     prog = lp.LinearProgram(objective=(0,) * P.m + (1,), constraints=tuple(constraints))

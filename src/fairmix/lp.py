@@ -1,14 +1,15 @@
 """Exact rational linear programming.
 
 A small dense two-phase primal simplex over exact rationals, for programs
-``maximize c·x`` subject to rows ``a·x (rel) b`` with every variable
-``x >= 0``.  It is the single optimization backend for the efficiency
-check, the epsilon-inefficiency LP, the core-fair-share checker, and the
-egalitarian rule's leximin rounds, which read an optimal outcome's ``duals``.
+``maximize c·x`` subject to rows ``a·x >= b`` or ``a·x = b`` with every
+``b >= 0`` and every variable ``x >= 0``: the one row shape of its callers,
+the efficiency and core-fair-share surplus LP, the epsilon-inefficiency LP,
+and the egalitarian rule's leximin rounds, which read an optimal outcome's
+``duals``.  Every row starts on its own artificial, so phase 1 always runs.
 
 ``_pivot`` is the one exact Gauss-Jordan step in the library: the simplex
-pivots with it, and ``row_reduce`` (the elimination behind the egalitarian
-rule's min-norm step) is built on it.
+pivots with it, and ``solve_linear`` (the linear solve behind the
+egalitarian rule's min-norm step) is built on it.
 
 Everything here is exact: solutions are basic feasible solutions whose
 coordinates satisfy every constraint with exact rational arithmetic, so the
@@ -26,20 +27,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-__all__ = ["LinearProgram", "LpOutcome", "solve_lp", "row_reduce",
+__all__ = ["LinearProgram", "LpOutcome", "solve_lp", "solve_linear",
            "MAX_VARIABLES", "MAX_CONSTRAINTS"]
 
 #: Hard scale caps: this solver is meant for desk-scale certificates only.
 MAX_VARIABLES = 200
 MAX_CONSTRAINTS = 400
 
-LE, EQ, GE = "<=", "=", ">="
-_RELATIONS = (LE, EQ, GE)
+EQ, GE = "=", ">="
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``maximize c·x`` subject to rows ``a·x (rel) b`` and ``x >= 0``."""
+    """``maximize c·x`` subject to rows ``a·x (rel) b``, ``b >= 0``, and ``x >= 0``."""
 
     objective: tuple
     constraints: tuple  # of (row, relation, rhs)
@@ -52,11 +52,13 @@ class LinearProgram:
             raise ValueError(
                 f"too many constraints: {len(self.constraints)} > {MAX_CONSTRAINTS}"
             )
-        for row, rel, _rhs in self.constraints:
+        for row, rel, rhs in self.constraints:
             if len(row) != nvar:
                 raise ValueError("constraint row length differs from objective length")
-            if rel not in _RELATIONS:
+            if rel not in (EQ, GE):
                 raise ValueError(f"unknown relation {rel!r}")
+            if rhs < 0:
+                raise ValueError(f"negative right-hand side {rhs}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class LpOutcome:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction] = None
     solution: Optional[tuple] = None
-    duals: Optional[tuple] = None  # per row: >= 0 on "<=", <= 0 on ">=", None on "="
+    duals: Optional[tuple] = None  # per row: <= 0 on ">=", None on "="
 
 
 def _pivot(rows, leave, enter):
@@ -124,50 +126,38 @@ def _simplex(rows, basis):
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Solve ``lp`` exactly.  Deterministic: same input, same output."""
     nvar = len(lp.objective)
-    nslack = sum(rel != EQ for _, rel, _ in lp.constraints)
-    # a row's slack starts basic only for "<=" with rhs >= 0; every other
-    # row gets an artificial column, numbered in row order after the slacks.
-    # (A ">=" row with rhs < 0 could start on its flipped surplus, but that
-    # changes which optimal vertex Bland's rule ends on.)
-    needs_art = [rel != LE or Fraction(rhs) < 0 for _, rel, rhs in lp.constraints]
+    nslack = sum(rel == GE for _, rel, _ in lp.constraints)
+    # row i's surplus (on ">=") cannot start basic, so it starts on its own
+    # artificial, column real + i
     real = nvar + nslack
-    zeros = [Fraction(0)] * (nslack + sum(needs_art))
-    rows, basis = [], []
-    slack, art = nvar, real
-    for (row, rel, rhs), artificial in zip(lp.constraints, needs_art):
+    nrow = len(lp.constraints)
+    zeros = [Fraction(0)] * (nslack + nrow)
+    rows, basis = [], list(range(real, real + nrow))
+    slack = nvar
+    for (row, rel, rhs), art in zip(lp.constraints, basis):
         line = [Fraction(x) for x in row] + zeros + [Fraction(rhs)]
-        if rel != EQ:
-            line[slack] = Fraction(1 if rel == LE else -1)
+        if rel == GE:
+            line[slack] = Fraction(-1)
             slack += 1
-        if line[-1] < 0:
-            line = [-x for x in line]
-        if artificial:
-            line[art] = Fraction(1)
-            basis.append(art)
-            art += 1
-        else:
-            basis.append(slack - 1)
+        line[art] = Fraction(1)
         rows.append(line)
 
-    if art > real:
-        # Phase 1: maximize -(sum of artificials); it is bounded above by 0.
-        _price(
-            rows, basis, [Fraction(0)] * real + [Fraction(-1)] * (art - real) + [Fraction(0)]
-        )
-        _simplex(rows, basis)
-        if rows.pop()[-1] != 0:
-            return LpOutcome(status="infeasible")
-        # Pivot every artificial still basic out of the basis, or drop its
-        # row, then slice the artificial columns off.
-        for i, b in enumerate(basis):
-            if b >= real:
-                enter = next((j for j in range(real) if rows[i][j] != 0), None)
-                if enter is not None:
-                    _pivot(rows, i, enter)
-                    basis[i] = enter
-        keep = [i for i, b in enumerate(basis) if b < real]
-        rows = [rows[i][:real] + rows[i][-1:] for i in keep]
-        basis = [basis[i] for i in keep]
+    # Phase 1: maximize -(sum of artificials); it is bounded above by 0.
+    _price(rows, basis, [Fraction(0)] * real + [Fraction(-1)] * nrow + [Fraction(0)])
+    _simplex(rows, basis)
+    if rows.pop()[-1] != 0:
+        return LpOutcome(status="infeasible")
+    # Pivot every artificial still basic out of the basis, or drop its
+    # row, then slice the artificial columns off.
+    for i, b in enumerate(basis):
+        if b >= real:
+            enter = next((j for j in range(real) if rows[i][j] != 0), None)
+            if enter is not None:
+                _pivot(rows, i, enter)
+                basis[i] = enter
+    keep = [i for i, b in enumerate(basis) if b < real]
+    rows = [rows[i][:real] + rows[i][-1:] for i in keep]
+    basis = [basis[i] for i in keep]
 
     # Phase 2.
     _price(rows, basis, [Fraction(c) for c in lp.objective] + [Fraction(0)] * (nslack + 1))
@@ -177,13 +167,9 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     for i, b in enumerate(basis):
         if b < nvar:
             solution[b] = rows[i][-1]
-    # row i's slack column is +e_i ("<=") or -e_i (">="), whatever sign the
-    # row was stored with, so its reduced cost is -y_i or +y_i
+    # a ">=" row's surplus column is -e_i, so its reduced cost is y_i
     costs = iter(rows[-1][nvar:real])
-    duals = tuple(
-        None if rel == EQ else next(costs) * (-1 if rel == LE else 1)
-        for _, rel, _ in lp.constraints
-    )
+    duals = tuple(None if rel == EQ else next(costs) for _, rel, _ in lp.constraints)
     return LpOutcome(
         status="optimal",
         value=-rows[-1][-1],
@@ -192,25 +178,20 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     )
 
 
-def row_reduce(rows, rhs, pivot_cols):
-    """Gauss-Jordan reduction of ``rows · x = rhs``, pivoting only in
-    ``pivot_cols``, taken in that order.
+def solve_linear(rows, rhs) -> list:
+    """One solution of ``rows · x = rhs``, with the free variables at 0.
 
-    Returns the independent reduced (row, rhs) pairs, one per pivot.  A row
-    that vanishes on the pivot columns must have zero rhs (the other columns
-    belong to variables fixed at 0); otherwise raises ``ValueError``.
+    Gauss-Jordan elimination, each row pivoting on its first nonzero entry.
+    Raises ``ValueError`` when the system is inconsistent.
     """
     work = [[Fraction(x) for x in r] + [Fraction(v)] for r, v in zip(rows, rhs)]
-    r = 0
-    for c in pivot_cols:
-        if r == len(work):
-            break
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        _pivot(work, r, c)
-        r += 1
-    if any(row[-1] != 0 for row in work[r:]):
-        raise ValueError("inconsistent linear system")
-    return [(tuple(row[:-1]), row[-1]) for row in work[:r]]
+    pivots = {}  # column -> row
+    for i in range(len(work)):
+        c = next((j for j, x in enumerate(work[i][:-1]) if x), None)
+        if c is not None:
+            _pivot(work, i, c)
+            pivots[c] = i
+        elif work[i][-1]:
+            raise ValueError("inconsistent linear system")
+    ncol = len(rows[0])
+    return [work[pivots[c]][-1] if c in pivots else Fraction(0) for c in range(ncol)]

@@ -69,7 +69,7 @@ class RuleId:
     """Identifier of a mixing rule, usable as a cache key.
 
     ``kind`` is one of UTIL, EGAL, RP, CUT, NMP, HRULE.  HRULE carries its
-    exponent ``q``.
+    exponent ``q``, and no other kind takes one.
     """
 
     kind: str
@@ -85,6 +85,8 @@ class RuleId:
             if q >= 1 or q == 0:
                 raise ValueError("HRULE exponent must satisfy q < 1, q != 0")
             object.__setattr__(self, "q", q)
+        elif self.q is not None:
+            raise ValueError(f"{self.kind} takes no exponent q")
 
     def __str__(self) -> str:
         if self.kind == "HRULE":
@@ -349,18 +351,12 @@ def _min_norm_weights(rows, vals, sizes, start) -> list:
     working = {a for a in range(k) if w[a] == 0}
     for _ in range(4 * (k + 2) * (k + 2) + 16):
         free = [a for a in range(k) if a not in working]
-        reduced = lp.row_reduce(B, c, free)
-        gram = [
-            [sum(sizes[a] * r1[a] * r2[a] for a in free) for r2, _ in reduced]
-            for r1, _ in reduced
-        ]
-        # the Gram matrix is nonsingular: full reduction leaves the solution
-        solved = lp.row_reduce(gram, [v for _, v in reduced], range(len(gram)))
-        # grad = B^T lambda; on the free classes w_eq = sizes * grad
-        grad = [
-            sum(v * row[a] for (_, v), (row, _) in zip(solved, reduced))
-            for a in range(k)
-        ]
+        # lambda solves the integer Gram system B S B^T lambda = c over the
+        # free classes; grad = B^T lambda, and on the free classes
+        # w_eq = sizes * grad, the same for every solution lambda
+        gram = [[sum(sizes[a] * r1[a] * r2[a] for a in free) for r2 in B] for r1 in B]
+        lam = lp.solve_linear(gram, c)
+        grad = [sum(y * row[a] for y, row in zip(lam, B)) for a in range(k)]
         w_eq = [Fraction(0) if a in working else sizes[a] * grad[a] for a in range(k)]
         if all(w_eq[a] >= 0 for a in free):
             # dual check on the working set: mu_a = -grad_a >= 0

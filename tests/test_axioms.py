@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from fairmix import axioms, core, generators, lp, rules
@@ -285,7 +285,9 @@ def _assert_afs_matches_oracle(P, U, expected):
         assert afs.witness["total_utility"] < afs.witness["required_total"]
 
 
-@settings(max_examples=100, deadline=None)
+# no shrink phase: every shrink candidate would rerun the 2^n-LP oracle
+@settings(max_examples=100, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
 @given(
     _clone_heavy_profiles(),
     st.lists(st.integers(0, 3), min_size=4, max_size=4),

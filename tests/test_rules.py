@@ -588,6 +588,14 @@ def test_hrule_id_validation():
         HRULE(0)
 
 
+def test_rule_id_refuses_q_outside_hrule():
+    # a stray q would print as the bare kind yet miss the evaluate memo
+    for kind in ("UTIL", "EGAL", "RP", "CUT", "NMP"):
+        with pytest.raises(ValueError, match="takes no exponent"):
+            rules.RuleId(kind, q="abc")
+        assert rules.RuleId(kind, q=None) == rules.RuleId(kind)
+
+
 def test_rules_anonymity_and_neutrality():
     rng = random.Random(71)
     rule_ids = [UTIL, EGAL, CUT, RP, NMP]

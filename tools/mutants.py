@@ -34,7 +34,7 @@ settings.register_profile("mutants", phases=[Phase.explicit, Phase.generate])
 MUTANTS = [
     # lp: a ">=" row gets a "<=" slack
     ("src/fairmix/lp.py",
-     "line[slack] = Fraction(1 if rel == LE else -1)",
+     "line[slack] = Fraction(-1)",
      "line[slack] = Fraction(1)",
      "tests/test_lp.py::test_optimal_solution_satisfies_constraints_exactly"),
     # lp: phase 1 never reports infeasibility
@@ -42,25 +42,40 @@ MUTANTS = [
      "if rows.pop()[-1] != 0:",
      "if rows.pop()[-1] < 0:",
      "tests/test_lp.py::test_infeasible_simplex_constraint"),
-    # lp: the duals of "<=" rows get the sign of ">=" rows
+    # lp: the duals of ">=" rows negated
     ("src/fairmix/lp.py",
-     "next(costs) * (-1 if rel == LE else 1)",
-     "next(costs) * (1 if rel == LE else 1)",
+     "None if rel == EQ else next(costs) for",
+     "None if rel == EQ else -next(costs) for",
      "tests/test_lp.py::test_strong_duality_spot_check"),
     # EGAL: every floor dual is <= 0, so this freezes zero-dual types too
     ("src/fairmix/rules.py",
      "zip(unfrozen, out.duals[1:]) if y != 0]",
      "zip(unfrozen, out.duals[1:]) if y <= 0]",
      "tests/test_rules.py::test_egal_is_leximin_on_small_instances"),
+    # EGAL: the min-norm step weighs every outcome class as one outcome
+    ("src/fairmix/rules.py",
+     "    k = len(sizes)\n",
+     "    k = len(sizes)\n    sizes = [1] * k\n",
+     "tests/test_rules.py::test_egal_mixture_is_the_minimum_norm_one"),
+    # IFS: an agent exactly at 1/n fails
+    ("src/fairmix/axioms.py",
+     "    for i in range(P.n):\n        if U[i] < share:",
+     "    for i in range(P.n):\n        if U[i] <= share:",
+     "tests/test_axioms.py::test_ifs_egal_always_passes"),
+    # UFS: the share counts 1 instead of the clone class
+    ("src/fairmix/axioms.py",
+     "share = Fraction(len(members), P.n)",
+     "share = Fraction(1, P.n)",
+     "tests/test_axioms.py::test_ufs_egal_fails_with_clones"),
     # AFS: the s largest utilities instead of the s smallest
     ("src/fairmix/axioms.py",
      "key=U.__getitem__)",
      "key=U.__getitem__, reverse=True)",
      "tests/test_axioms.py::test_coalition_checkers_match_agent_walk_oracle"),
-    # CFS: coalition rows without the share factor |S|/n
+    # CFS: the surplus LP without the share factor |S|/n
     ("src/fairmix/axioms.py",
-     "(tuple(share * (mask >> a & 1) for a in range(P.m)), lp.GE, U[agents[0]])",
-     "(tuple(mask >> a & 1 for a in range(P.m)), lp.GE, U[agents[0]])",
+     "out = surplus_lp(P.m, floors, share)",
+     "out = surplus_lp(P.m, floors)",
      "tests/test_axioms.py::test_coalition_checkers_match_agent_walk_oracle"),
     # GFS: the share counts clone classes instead of agents
     ("src/fairmix/axioms.py",
