@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import rules
 from .core import AxiomVerdict, Mixture, Problem, UtilityProfile, format_rational
-from .core import require_profile_size, surplus_lp, utilities
+from .core import mask_outcomes, mask_row, require_profile_size, surplus_lp, utilities
 
 __all__ = [
     "SpVariant",
@@ -88,7 +88,7 @@ def polarized_partition(P: Problem) -> tuple:
     # those of the other blocks, whose masks are disjoint
     blocks[-1] = ((1 << P.m) - 1 - sum(b[0] for b in blocks[:-1]), blocks[-1][1])
     return tuple(
-        (tuple(sorted(agents)), _mask_to_tuple(mask)) for mask, agents in blocks
+        (tuple(sorted(agents)), mask_outcomes(mask)) for mask, agents in blocks
     )
 
 
@@ -253,10 +253,6 @@ def check_cfs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerd
     return AxiomVerdict(passed=True)
 
 
-def _mask_to_tuple(mask: int) -> tuple:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 # ---------------------------------------------------------------------------
 # strategyproofness
 
@@ -294,8 +290,7 @@ def check_sp(rule: rules.RuleId, P: Problem, variant: SpVariant) -> AxiomVerdict
         for report in range(1, 1 << P.m):
             if report == truth or not admits(truth, report):
                 continue
-            row = tuple(1 if report >> a & 1 else 0 for a in range(P.m))
-            _, zprime = rules.evaluate(rule, P.replace_row(i, row))
+            _, zprime = rules.evaluate(rule, P.replace_row(i, mask_row(report, P.m)))
             payoff = zprime.weight_on(consumed(truth, report))
             gain = payoff - truthful_U[i]
             if gain > guard:
@@ -303,7 +298,7 @@ def check_sp(rule: rules.RuleId, P: Problem, variant: SpVariant) -> AxiomVerdict
                     passed=False,
                     witness={
                         "agent": i,
-                        "misreport": _mask_to_tuple(report),
+                        "misreport": mask_outcomes(report),
                         "truthful_utility": truthful_U[i],
                         "deviation_payoff": payoff,
                         "gain": gain,
@@ -312,7 +307,7 @@ def check_sp(rule: rules.RuleId, P: Problem, variant: SpVariant) -> AxiomVerdict
             if guard > 0 and gain > 0:
                 near_tie = {
                     "agent": i,
-                    "misreport": _mask_to_tuple(report),
+                    "misreport": mask_outcomes(report),
                     "gain": gain,
                 }
     if near_tie is not None:

@@ -46,6 +46,16 @@ MAX_EXPONENT = 1000  # Fraction builds 10**exponent exactly
 MAX_TYPED_AGENTS = 2_000_000  # each expands to a row; appendix_sp0 has 1,227,856
 
 
+def mask_outcomes(mask: int) -> tuple:
+    """The outcomes of a like-mask, ascending: bit ``a`` is outcome ``a``."""
+    return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
+
+
+def mask_row(mask: int, m: int) -> tuple:
+    """The 0/1 approval row of a like-mask over ``m`` outcomes."""
+    return tuple(mask >> a & 1 for a in range(m))
+
+
 @dataclass(frozen=True)
 class Problem:
     """An ``n x m`` approval matrix with no all-zero row."""
@@ -76,7 +86,7 @@ class Problem:
         return len(self.u[0])
 
     def like_set(self, i: int) -> tuple:
-        return tuple(a for a in range(self.m) if self.u[i][a])
+        return mask_outcomes(self.like_mask(i))
 
     def like_mask(self, i: int) -> int:
         return sum(1 << a for a, x in enumerate(self.u[i]) if x)
@@ -99,12 +109,18 @@ class Problem:
     def column_sum(self, a: int) -> int:
         return sum(row[a] for row in self.u)
 
+    def _require_agent(self, i: int) -> None:
+        if not 0 <= i < self.n:
+            raise ValueError(f"agent index {i} outside 0 .. {self.n - 1}")
+
     def drop_agent(self, i: int) -> "Problem":
+        self._require_agent(i)
         if self.n < 2:
             raise ValueError("cannot drop the only agent")
         return Problem(tuple(r for k, r in enumerate(self.u) if k != i))
 
     def replace_row(self, i: int, row: Sequence[int]) -> "Problem":
+        self._require_agent(i)
         rows = list(self.u)
         rows[i] = tuple(row)
         return Problem(tuple(rows))
@@ -129,8 +145,9 @@ class Mixture:
         return len(self.z)
 
     def weight_on(self, mask: int) -> Fraction:
-        """Total weight on the outcomes of the like-mask ``mask``."""
-        return sum((x for a, x in enumerate(self.z) if mask >> a & 1), Fraction(0))
+        """Total weight on the outcomes of the like-mask ``mask`` (zeros skipped)."""
+        liked = (x for a, x in enumerate(self.z) if x and mask >> a & 1)
+        return sum(liked, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -158,27 +175,24 @@ class UtilityProfile:
 
 @dataclass(frozen=True)
 class TypedProfile:
-    """A compressed problem: (multiplicity, like-set) pairs, in listed order."""
+    """A compressed problem: (multiplicity, like-mask) pairs, whose listed
+    order numbers the agents of ``to_problem``."""
 
     m: int
-    entries: tuple  # tuple of (count, frozenset of outcome indices)
+    entries: tuple  # tuple of (count, like-mask) pairs of ints
 
     def __post_init__(self) -> None:
-        entries = tuple(
-            (int(c), frozenset(int(a) for a in s)) for c, s in self.entries
-        )
+        entries = tuple((int(c), int(mask)) for c, mask in self.entries)
         object.__setattr__(self, "entries", entries)
         if self.m < 1:
             raise ValueError("a profile needs at least one outcome")
         if not entries:
             raise ValueError("a profile needs at least one agent type")
-        for count, like in entries:
+        for count, mask in entries:
             if count <= 0:
                 raise ValueError("type multiplicities must be positive")
-            if not like:
-                raise ValueError("like-sets must be nonempty")
-            if any(a < 0 or a >= self.m for a in like):
-                raise ValueError("like-set outcome index out of range")
+            if not 0 < mask < 1 << self.m:
+                raise ValueError(f"like-mask {mask} outside 1 .. 2^{self.m} - 1")
 
     @property
     def n(self) -> int:
@@ -188,16 +202,14 @@ class TypedProfile:
     def types(self) -> tuple:
         """(count, like-mask) agent types, as for ``Problem.types``."""
         counts: dict = {}
-        for count, like in self.entries:
-            mask = sum(1 << a for a in like)
+        for count, mask in self.entries:
             counts[mask] = counts.get(mask, 0) + count
         return tuple((c, mask) for mask, c in counts.items())
 
     def to_problem(self) -> Problem:
         rows = []
-        for count, like in self.entries:
-            row = tuple(1 if a in like else 0 for a in range(self.m))
-            rows.extend([row] * count)
+        for count, mask in self.entries:
+            rows.extend([mask_row(mask, self.m)] * count)
         return Problem(tuple(rows))
 
 
@@ -250,7 +262,7 @@ def parse_problem(text: str) -> Problem:
             if len(parts) != 2:
                 raise ValueError(f"malformed typed entry: {ln!r}")
             like = _parse_bitstring_row(parts[1], m)
-            entries.append((int(parts[0]), frozenset(a for a in range(m) if like[a])))
+            entries.append((int(parts[0]), sum(x << a for a, x in enumerate(like))))
         profile = TypedProfile(m=m, entries=tuple(entries))
         if profile.n > MAX_TYPED_AGENTS:
             raise ValueError(f"typed profile has more than {MAX_TYPED_AGENTS} agents")
@@ -285,9 +297,8 @@ def format_problem(P: Problem) -> str:
 
 def format_typed_profile(T: TypedProfile) -> str:
     lines = [f"typed {T.m}"]
-    for count, like in T.entries:
-        bits = "".join("1" if a in like else "0" for a in range(T.m))
-        lines.append(f"{count} {bits}")
+    for count, mask in T.entries:
+        lines.append(f"{count} {''.join(map(str, mask_row(mask, T.m)))}")
     return "\n".join(lines) + "\n"
 
 
@@ -331,11 +342,7 @@ def utilities(P: Problem, z: Mixture) -> UtilityProfile:
     """Exact utilities ``U_i = u_i . z``."""
     if z.m != P.m:
         raise ValueError(f"dimension mismatch: problem has m={P.m}, mixture m={z.m}")
-    return UtilityProfile(
-        tuple(
-            sum((z.z[a] for a in range(P.m) if row[a]), Fraction(0)) for row in P.u
-        )
-    )
+    return UtilityProfile(tuple(z.weight_on(P.like_mask(i)) for i in range(P.n)))
 
 
 def undominated_outcomes(P: Problem) -> set:
@@ -427,7 +434,7 @@ def epsilon_inefficiency(P: Problem, U: UtilityProfile) -> Fraction:
     # variables z'_0..z'_{m-1}, t >= 0: maximize t s.t. u_i . z' - t * U_i >= 0,
     # one row per type at its largest U_i
     constraints = [
-        (tuple(mask >> a & 1 for a in range(P.m)) + (-floor,), lp.GE, 0)
+        (mask_row(mask, P.m) + (-floor,), lp.GE, 0)
         for _, mask, floor in _type_floors(P, U)
     ]
     constraints.append(((1,) * P.m + (0,), lp.EQ, 1))

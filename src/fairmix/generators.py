@@ -29,6 +29,7 @@ __all__ = [
     "appendix_36",
     "appendix_860",
     "appendix_sp0",
+    "APPENDIX_FAMILIES",
     "APPENDIX_860_Z",
     "APPENDIX_860_Z_MISREPORT",
     "SP0_Z_REPORTED",
@@ -87,28 +88,21 @@ _FIXTURES = {
 }
 
 
-# the appendix constructions, by name
-_TYPED_FIXTURES = {
-    "appendix36": lambda: appendix_36(misreport=False),
-    "appendix36-misreport": lambda: appendix_36(misreport=True),
-    "appendix860": lambda: appendix_860(misreport=False),
-    "appendix860-misreport": lambda: appendix_860(misreport=True),
-}
-
-
 def fixture(name: str) -> Problem:
     """Look up a named fixture problem."""
-    if name in _TYPED_FIXTURES:
-        return _TYPED_FIXTURES[name]().to_problem()
-    try:
-        rows = _FIXTURES[name]
-    except KeyError:
-        raise ValueError(f"unknown fixture {name!r}") from None
-    return Problem(rows)
+    if name not in fixture_names():
+        raise ValueError(f"unknown fixture {name!r}")
+    if name in _FIXTURES:
+        return Problem(_FIXTURES[name])
+    family = name.removesuffix("-misreport")
+    return APPENDIX_FAMILIES[family](name != family).to_problem()
 
 
 def fixture_names() -> tuple:
-    return tuple(_FIXTURES) + tuple(_TYPED_FIXTURES)
+    """The worked examples, then each appendix family truthful and misreported,
+    except sp0: its 1,227,856 agents are too many to expand into a problem."""
+    typed = [family for family in APPENDIX_FAMILIES if family != "sp0"]
+    return tuple(_FIXTURES) + tuple(f + s for f in typed for s in ("", "-misreport"))
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +252,18 @@ def rp_family_ratio(params: RpWorstCaseParams) -> Fraction:
 # ---------------------------------------------------------------------------
 # appendix constructions
 
-# 36 agents, outcomes (a, b, c, d)
+# 36 agents, outcomes (a, b, c, d) as like-mask bits 0..3
 _A36_TRUTHFUL = (
-    (4, (0,)),
-    (4, (1, 2, 3)),
-    (1, (2,)),
-    (1, (3,)),
-    (2, (0, 1, 2)),
-    (2, (0, 1, 3)),
-    (7, (0, 2)),
-    (7, (0, 3)),
-    (4, (1, 2)),
-    (4, (1, 3)),
+    (4, 0b0001),  # a
+    (4, 0b1110),  # b c d
+    (1, 0b0100),  # c
+    (1, 0b1000),  # d
+    (2, 0b0111),  # a b c
+    (2, 0b1011),  # a b d
+    (7, 0b0101),  # a c
+    (7, 0b1001),  # a d
+    (4, 0b0110),  # b c
+    (4, 0b1010),  # b d
 )
 
 
@@ -278,7 +272,7 @@ def appendix_36(misreport: bool = False) -> TypedProfile:
     type-{a} agent for additionally reporting b."""
     if not misreport:
         return TypedProfile(m=4, entries=_A36_TRUTHFUL)
-    entries = ((3, (0,)), (1, (0, 1))) + _A36_TRUTHFUL[1:]
+    entries = ((3, 0b0001), (1, 0b0011)) + _A36_TRUTHFUL[1:]
     return TypedProfile(m=4, entries=entries)
 
 
@@ -301,20 +295,20 @@ def appendix_860(misreport: bool = False) -> TypedProfile:
     manipulation certified by exact rational stationarity at both mixtures.
     """
     common = (
-        (55, (1, 2, 3)),  # b c1 c2
-        (5, (2,)),
-        (5, (3,)),
-        (15, (0, 1, 2)),  # a b c1
-        (15, (0, 1, 3)),
-        (252, (0, 2)),  # a c1
-        (252, (0, 3)),
-        (108, (1, 2)),  # b c1
-        (108, (1, 3)),
+        (55, 0b1110),  # b c1 c2
+        (5, 0b0100),  # c1
+        (5, 0b1000),  # c2
+        (15, 0b0111),  # a b c1
+        (15, 0b1011),  # a b c2
+        (252, 0b0101),  # a c1
+        (252, 0b1001),  # a c2
+        (108, 0b0110),  # b c1
+        (108, 0b1010),  # b c2
     )
     if misreport:
-        entries = ((1, (0,)), (44, (0, 1))) + common
+        entries = ((1, 0b0001), (44, 0b0011)) + common
     else:
-        entries = ((45, (0,)),) + common
+        entries = ((45, 0b0001),) + common
     return TypedProfile(m=4, entries=entries)
 
 
@@ -355,19 +349,27 @@ def appendix_sp0():
     n_aab = 139650 and n_ac = 243390 (each three times, symmetric in the
     a-outcomes), next to K agents of the switching type and K of type {b,c}.
     """
-    switching_true = (_SP0_K, (0, 1, 2, 3))
-    switching_reported = (_SP0_K, (0, 1, 2))
+    switching_true = (_SP0_K, 0b01111)  # a a' a'' b
+    switching_reported = (_SP0_K, 0b00111)  # a a' a''
     rest = (
-        (_SP0_K, (3, 4)),  # b c
-        (27132, (0, 1, 2, 3)),  # a a' a'' b
-        (23940, (4,)),  # c
-        (139650, (1, 2, 3)),  # a' a'' b
-        (139650, (0, 2, 3)),
-        (139650, (0, 1, 3)),
-        (243390, (0, 4)),  # a c
-        (243390, (1, 4)),
-        (243390, (2, 4)),
+        (_SP0_K, 0b11000),  # b c
+        (27132, 0b01111),  # a a' a'' b
+        (23940, 0b10000),  # c
+        (139650, 0b01110),  # a' a'' b
+        (139650, 0b01101),  # a a'' b
+        (139650, 0b01011),  # a a' b
+        (243390, 0b10001),  # a c
+        (243390, 0b10010),  # a' c
+        (243390, 0b10100),  # a'' c
     )
     truthful = TypedProfile(m=5, entries=(switching_true,) + rest)
     misreported = TypedProfile(m=5, entries=(switching_reported,) + rest)
     return truthful, misreported
+
+
+# the appendix constructions by family name, each built from ``misreport``
+APPENDIX_FAMILIES = {
+    "appendix36": appendix_36,
+    "appendix860": appendix_860,
+    "sp0": lambda misreport: appendix_sp0()[misreport],
+}

@@ -147,30 +147,24 @@ def _outcome_classes(types, m: int):
     ]
 
 
-def _spread_over_best(classes, weight: Fraction, z: list) -> None:
-    """Add ``weight`` to ``z`` uniformly over the classes of maximal support,
-    split uniformly inside each class."""
-    best = max(support for _, support in classes)
-    winners = [cls for cls, support in classes if support == best]
-    for cls in winners:
-        w = weight / (len(winners) * len(cls))
+def _best(classes) -> list:
+    """The classes of maximal support."""
+    top = max(support for _, support in classes)
+    return [cls for cls, support in classes if support == top]
+
+
+def _split(classes, weights, z: list) -> list:
+    """Add each class's weight to ``z``, split uniformly inside the class."""
+    for w, cls in zip(weights, classes):
         for a in cls:
-            z[a] += w
+            z[a] += w / len(cls)
+    return z
 
 
 def _uniform_on(feasible: int, m: int) -> tuple:
     """The uniform distribution over the outcomes in the bitmask ``feasible``."""
     w = Fraction(1, feasible.bit_count())
     return tuple(w if feasible >> a & 1 else Fraction(0) for a in range(m))
-
-
-def _split(classes, weights, m: int) -> list:
-    """Per-outcome weights: each class's weight split uniformly inside it."""
-    z = [0] * m
-    for w, cls in zip(weights, classes):
-        for a in cls:
-            z[a] = w / len(cls)
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +177,8 @@ def util_rule(P: Problem):
     Identical columns are collapsed into one class first, so duplicating an
     outcome never changes anybody's utility.
     """
-    z = [Fraction(0)] * P.m
-    _spread_over_best(_outcome_classes(P.types, P.m), Fraction(1), z)
+    best = _best(_outcome_classes(P.types, P.m))
+    z = _split(best, [Fraction(1, len(best))] * len(best), [0] * P.m)
     mix = Mixture(tuple(z))
     return utilities(P, mix), mix
 
@@ -197,10 +191,10 @@ def cut_rule(P: Problem):
     """
     types = P.types
     classes = _outcome_classes(types, P.m)
-    z = [Fraction(0)] * P.m
+    z = [0] * P.m
     for count, mask in types:
-        mine = [(cls, support) for cls, support in classes if mask >> cls[0] & 1]
-        _spread_over_best(mine, Fraction(count, P.n), z)
+        best = _best([(cls, s) for cls, s in classes if mask >> cls[0] & 1])
+        _split(best, [Fraction(count, P.n * len(best))] * len(best), z)
     mix = Mixture(tuple(z))
     return utilities(P, mix), mix
 
@@ -328,7 +322,7 @@ def egal_rule(P: Problem):
 
     sizes = [len(cls) for cls in classes]
     w = _min_norm_weights(rows, [frozen[j] for j in range(k)], sizes, zstar)
-    mix = Mixture(tuple(_split(classes, w, m)))
+    mix = Mixture(tuple(_split(classes, w, [0] * m)))
     return utilities(P, mix), mix
 
 
@@ -471,7 +465,7 @@ class _WelfareSolver:
 
     def mixture(self, zf) -> Mixture:
         """Round class weights to a mixture, each class split uniformly."""
-        return _float_to_mixture(_split(self.outcomes, zf, self.m), self.m)
+        return _float_to_mixture(_split(self.outcomes, zf, [0] * self.m), self.m)
 
     def newton(self, zf):
         """Newton refinement of the stationarity system on the support.

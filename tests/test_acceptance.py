@@ -193,20 +193,20 @@ def test_criterion_03_a36_exsp_violation():
     )
 
 
-def _nash_product(profile, z):
-    """Exact product of U_i^{count_i} over the types of ``profile``."""
+def _nash_product(entries, z):
+    """Exact product of U_i^{count_i} over the (count, like-set) ``entries``."""
     product = F(1)
-    for count, like in profile.entries:
+    for count, like in entries:
         product *= sum(z[a] for a in like) ** count
     return product
 
 
-def _reduced_gradient(profile, s, t):
+def _reduced_gradient(entries, s, t):
     """Gradient in (s, t) of the log Nash welfare at z = (s, t, w, w) with
     w = (1 - s - t) / 2, exactly for rational s and t."""
     w = (1 - s - t) / 2
     grad_s = grad_t = F(0)
-    for count, like in profile.entries:
+    for count, like in entries:
         k = len(like & {2, 3})
         U = s * (0 in like) + t * (1 in like) + w * k
         grad_s += count * (int(0 in like) - F(k, 2)) / U
@@ -224,27 +224,29 @@ def test_criterion_03_reference_evidence():
          _A36_SUPERSEDED_MISREPORT),
     )
     for profile, reference, superseded in cases:
+        entries = [(count, frozenset(a for a in range(profile.m) if mask >> a & 1))
+                   for count, mask in profile.entries]
         # symmetric under c <-> d; the types {a}, {c}, {d} fix z_a, z_c, z_d
         # and hence z_b, so z -> U is injective and the strictly concave
         # optimum is unique and has z_c = z_d
         swap = {2: 3, 3: 2}
-        assert Counter(profile.entries) == Counter(
+        assert Counter(entries) == Counter(
             (count, frozenset(swap.get(a, a) for a in like))
-            for count, like in profile.entries
+            for count, like in entries
         )
-        likes = {like for _, like in profile.entries}
+        likes = {like for _, like in entries}
         assert {frozenset({0}), frozenset({2}), frozenset({3})} <= likes
 
         s, t, zc, zd = reference
         assert zc == zd and min(reference) > 0
         assert abs(sum(reference) - 1) <= 1e-15
-        grad = _reduced_gradient(profile, F(s), F(t))
+        grad = _reduced_gradient(entries, F(s), F(t))
         assert max(abs(g) for g in grad) <= 1e-12, [float(g) for g in grad]
 
         old = [F(x) for x in superseded]
         old = [x / sum(old) for x in old]
         solver = rules.nmp_rule(profile.to_problem()).z.z
-        assert _nash_product(profile, old) < _nash_product(profile, solver)
+        assert _nash_product(entries, old) < _nash_product(entries, solver)
 
 
 # ---------------------------------------------------------------------------

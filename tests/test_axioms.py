@@ -477,6 +477,14 @@ def test_dec_pass_and_fail_on_polarized_pair():
     assert check_dec(rules.EGAL, Mp).passed is False
 
 
+def test_dec_witness_is_the_first_agent_off_its_block_share():
+    # UTIL puts everything on b: agent 0 gets 0, below its block share 1/3
+    verdict = check_dec(rules.UTIL, generators.fixture("dec-mprime"))
+    assert verdict.witness == {
+        "agent": 0, "block": 0, "utility": F(0), "expected": F(1, 3),
+    }
+
+
 def test_dec_requires_polarized_structure():
     with pytest.raises(ValueError):
         check_dec(rules.CUT, EX3)

@@ -121,6 +121,20 @@ def test_check_axiom_failure_exits_one(capsys):
     assert "result=fail" in out and "witness=[" in out
 
 
+# impartial_culture(5, 4, 1135): NMP's rounded mixture gives agent 3 a
+# utility 4.4e-17 short of 1/5, well inside the tie guard
+NMP_ROUNDING_PROBLEM = "5 4\n1001\n0001\n1100\n0010\n0101\n"
+
+
+@pytest.mark.parametrize("axiom", ["ifs", "cfs", "gfs"])
+def test_check_numeric_rule_within_tie_guard_is_inconclusive(capsys, tmp_path, axiom):
+    path = tmp_path / "ic1135.prob"
+    path.write_text(NMP_ROUNDING_PROBLEM)
+    code, out, _ = run(capsys, "check", str(path), "--axiom", axiom, "--rule", "nmp")
+    assert code == 0
+    assert "result=inconclusive" in out and "witness=[" in out
+
+
 def test_check_sp_star_egal(capsys):
     code, out, _ = run(capsys, "check", "--axiom", "sp*", "--rule", "egal",
                        "--fixture", "egal-true")

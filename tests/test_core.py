@@ -83,17 +83,29 @@ def test_utility_profile_range():
 
 
 def test_typed_profile_expansion_order_stable():
-    tp = TypedProfile(m=3, entries=((2, frozenset({0})), (1, frozenset({1, 2}))))
+    tp = TypedProfile(m=3, entries=((2, 0b001), (1, 0b110)))
     P = tp.to_problem()
     assert P.u == ((1, 0, 0), (1, 0, 0), (0, 1, 1))
     with pytest.raises(ValueError):
-        TypedProfile(m=3, entries=((0, frozenset({0})),))
+        TypedProfile(m=3, entries=((0, 0b001),))
     with pytest.raises(ValueError):
-        TypedProfile(m=3, entries=((1, frozenset()),))
+        TypedProfile(m=3, entries=((1, 0),))
     with pytest.raises(ValueError):
         TypedProfile(m=3, entries=())
     with pytest.raises(ValueError):
         TypedProfile(m=0, entries=())
+
+
+def test_agent_index_out_of_range():
+    P = Problem(((1, 0), (0, 1), (1, 1)))
+    for i in (5, -1):
+        with pytest.raises(ValueError):
+            P.drop_agent(i)
+    for i in (-1, 7):
+        with pytest.raises(ValueError):
+            P.replace_row(i, (1, 1))
+    assert P.drop_agent(2).u == ((1, 0), (0, 1))
+    assert P.replace_row(2, (0, 1)).u == ((1, 0), (0, 1), (0, 1))
 
 
 # ---------------------------------------------------------------- parsing

@@ -200,7 +200,7 @@ def test_appendix_36_counts():
     assert sum(c for c, _ in misreported.entries) == 36
     assert truthful.entries[0][0] == 4
     assert misreported.entries[0][0] == 3
-    assert misreported.entries[1] == (1, frozenset({0, 1}))
+    assert misreported.entries[1] == (1, 0b11)
 
 
 def test_appendix_36_nmp_manipulation_gain():

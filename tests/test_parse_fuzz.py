@@ -43,7 +43,7 @@ def _typed_profiles(draw):
     entries = draw(st.lists(
         st.tuples(
             st.integers(1, MAX_COUNT),
-            st.sets(st.integers(0, m - 1), min_size=1).map(frozenset),
+            st.integers(1, 2**m - 1),
         ),
         min_size=1,
         max_size=5,

@@ -43,8 +43,7 @@ def _electorate(seed, j, m, types, agents):
     masks = rng.sample(range(1, 1 << m), types)
     cuts = sorted(rng.sample(range(1, agents), types - 1))
     counts = [b - a for a, b in zip([0] + cuts, cuts + [agents])]
-    return TypedProfile(m=m, entries=[(c, [a for a in range(m) if k >> a & 1])
-                                      for c, k in zip(counts, masks)])
+    return TypedProfile(m=m, entries=list(zip(counts, masks)))
 
 
 def _random_problem(rng, max_n=6, max_m=6):
@@ -107,6 +106,12 @@ def test_cut_universal_likers_participate():
     P = Problem(((1, 1), (1, 0)))
     U, z = cut_rule(P)
     assert z.z == (F(1), F(0))  # column a has support 2, b support 1
+
+
+def test_cut_clones_share_by_count():
+    # the two clones of type {a} control 2/3 together
+    U, z = cut_rule(Problem(((1, 0), (1, 0), (0, 1))))
+    assert z.z == (F(2, 3), F(1, 3))
 
 
 # ---------------------------------------------------------------- sigma
@@ -471,9 +476,38 @@ def test_nmp_certifies_after_snapping():
         assert sol.kkt_residual == kkt_residual(T, sol.z)
 
 
+@st.composite
+def _typed_with_repeats(draw):
+    """Typed profiles whose like-masks are drawn as ints from a small pool,
+    so one like-set is often listed more than once."""
+    m = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=3))
+    entries = draw(st.lists(
+        st.tuples(st.integers(1, 20), st.sampled_from(pool)), min_size=1, max_size=6
+    ))
+    return TypedProfile(m=m, entries=entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_typed_with_repeats())
+def test_typed_profile_agrees_with_its_expansion(T):
+    P = T.to_problem()
+    assert T.types == P.types and T.n == P.n
+    z = nmp_rule(T).z
+    assert kkt_residual(T, z) == kkt_residual(P, z)
+    rows = [sum((x for x, bit in zip(z.z, row) if bit), F(0)) for row in P.u]
+    assert utilities(P, z).U == tuple(rows)
+
+
 def test_kkt_residual_trivial():
     P = Problem(((1, 1),))
     assert kkt_residual(P, Mixture((F(1, 2), F(1, 2)))) == 0
+
+
+def test_kkt_residual_counts_a_deficit_on_a_supported_outcome():
+    # at (2/3, 1/3): U = (2/3, 1), g_a = 3/2 + 1 = n + 1/2 and g_b = 1 = n - 1
+    P = Problem(((1, 0), (1, 1)))
+    assert kkt_residual(P, Mixture((F(2, 3), F(1, 3)))) == 1
 
 
 def test_kkt_residual_rejects_zero_utility():

@@ -57,6 +57,26 @@ MUTANTS = [
      "    k = len(sizes)\n",
      "    k = len(sizes)\n    sizes = [1] * k\n",
      "tests/test_rules.py::test_egal_mixture_is_the_minimum_norm_one"),
+    # UTIL: spread over every outcome class, not only the maximal-support ones
+    ("src/fairmix/rules.py",
+     "best = _best(_outcome_classes(P.types, P.m))",
+     "best = [cls for cls, _ in _outcome_classes(P.types, P.m)]",
+     "tests/test_rules.py::test_util_ex3_point_mass_on_d"),
+    # CUT: a type's share ignores its count
+    ("src/fairmix/rules.py",
+     "[Fraction(count, P.n * len(best))]",
+     "[Fraction(1, P.n * len(best))]",
+     "tests/test_rules.py::test_cut_clones_share_by_count"),
+    # RP: live moves weighted by 1 instead of by their type's count
+    ("src/fairmix/rules.py",
+     "live = [(c, feasible & mask) for c, mask in types]",
+     "live = [(1, feasible & mask) for c, mask in types]",
+     "tests/test_rules.py::test_rp_matches_explicit_enumeration"),
+    # kkt_residual: a gradient deficit on a supported outcome goes unseen
+    ("src/fairmix/rules.py",
+     "residual = max(residual, abs(g - n))",
+     "residual = max(residual, g - n)",
+     "tests/test_rules.py::test_kkt_residual_counts_a_deficit_on_a_supported_outcome"),
     # IFS: an agent exactly at 1/n fails
     ("src/fairmix/axioms.py",
      "    for i in range(P.n):\n        if U[i] < share:",
@@ -97,6 +117,11 @@ MUTANTS = [
      "            if U[i] <= absent - guard:",
      "            if U[i] < absent - guard:",
      "tests/test_axioms.py::test_participation_strict_egal_fails_with_clone"),
+    # DEC: only utilities above the block share count as violations
+    ("src/fairmix/axioms.py",
+     "if abs(U[i] - expected) > guard:",
+     "if U[i] - expected > guard:",
+     "tests/test_axioms.py::test_dec_witness_is_the_first_agent_off_its_block_share"),
     # cut_bound: the cube root rounded down for n > 8 overstates the bound
     ("src/fairmix/generators.py",
      "c = _cbrt_rational(n, up=n > 8)",
