@@ -11,7 +11,6 @@ from .core import (
     AxiomVerdict,
     Mixture,
     Problem,
-    TypedProfile,
     UtilityProfile,
     epsilon_inefficiency,
     format_mixture,

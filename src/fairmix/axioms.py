@@ -194,7 +194,8 @@ def check_afs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerd
     require_profile_size(P, U)
     tol = Fraction(tol)
     for a in range(P.m):
-        liking = sorted((i for i in range(P.n) if P.u[i][a]), key=U.__getitem__)
+        liking = [i for i, x in enumerate(P.masks) if x >> a & 1]
+        liking.sort(key=U.__getitem__)
         total = _ZERO
         for s, i in enumerate(liking, 1):
             total += U[i]
@@ -369,10 +370,9 @@ def check_dec(rule: rules.RuleId, P: Problem) -> AxiomVerdict:
         raise ValueError("no polarized structure: the problem is connected")
     guard = _tie_guard(rule)
     U, _ = rules.evaluate(rule, P)
+    u = P.u
     for k, (agents, outcomes) in enumerate(blocks):
-        sub = Problem(
-            tuple(tuple(P.u[i][a] for a in outcomes) for i in agents)
-        )
+        sub = Problem.from_rows(tuple(tuple(u[i][a] for a in outcomes) for i in agents))
         subU, _ = rules.evaluate(rule, sub)
         scale = Fraction(len(agents), P.n)
         for local, i in enumerate(agents):

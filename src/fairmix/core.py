@@ -1,8 +1,9 @@
 """Domain types and basic analysis for fair mixing under dichotomous preferences.
 
-An instance ("problem") is an ``n x m`` 0/1 matrix: ``n`` agents, ``m``
-outcomes, and ``u[i][a] = 1`` exactly when agent ``i`` likes outcome ``a``.
-Rows are never all-zero: an agent who likes nothing has no stake in the
+An instance ("problem") lists the like-sets of ``n`` agents over ``m``
+outcomes as (count, like-mask) runs: bit ``a`` of agent ``i``'s mask is set
+exactly when ``i`` likes outcome ``a``, i.e. ``u[i][a] = 1`` in the 0/1 view.
+A like-set is never empty: an agent who likes nothing has no stake in the
 decision and is excluded from the preference domain.
 
 A "mixture" is a point of the simplex over outcomes - a lottery, time share,
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,7 +29,6 @@ __all__ = [
     "Problem",
     "Mixture",
     "UtilityProfile",
-    "TypedProfile",
     "AxiomVerdict",
     "parse_problem",
     "format_problem",
@@ -43,7 +44,7 @@ __all__ = [
 
 DEFAULT_EPSILON_TOL = Fraction(1, 2**30)  # step of epsilon_inefficiency's grid
 MAX_EXPONENT = 1000  # Fraction builds 10**exponent exactly
-MAX_TYPED_AGENTS = 2_000_000  # each expands to a row; appendix_sp0 has 1,227,856
+MAX_TYPED_AGENTS = 2_000_000  # per-agent views expand; appendix_sp0 has 1,227,856
 
 
 def mask_outcomes(mask: int) -> tuple:
@@ -58,56 +59,79 @@ def mask_row(mask: int, m: int) -> tuple:
 
 @dataclass(frozen=True)
 class Problem:
-    """An ``n x m`` approval matrix with no all-zero row."""
+    """A profile as (count, like-mask) runs, whose listed order numbers the
+    agents; adjacent runs with one mask are merged, so two problems with the
+    same agents in the same order are equal."""
 
-    u: tuple  # tuple of n tuples of m ints in {0, 1}
+    m: int
+    entries: tuple  # tuple of (count, like-mask) pairs of ints
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", tuple(tuple(row) for row in self.u))
-        if not self.u:
-            raise ValueError("a problem needs at least one agent")
-        m = len(self.u[0])
-        if m == 0:
-            raise ValueError("a problem needs at least one outcome")
-        for i, row in enumerate(self.u):
-            if len(row) != m:
-                raise ValueError(f"row {i} has length {len(row)}, expected {m}")
-            if any(x not in (0, 1) for x in row):
-                raise ValueError(f"row {i} contains a non-bit entry")
-            if not any(row):
-                raise ValueError(f"row {i} is all zeros (agent likes nothing)")
+        if self.m < 1:
+            raise ValueError("a profile needs at least one outcome")
+        if not self.entries:
+            raise ValueError("a profile needs at least one agent type")
+        runs = []
+        for count, mask in self.entries:
+            count, mask = int(count), int(mask)
+            if count <= 0:
+                raise ValueError("type multiplicities must be positive")
+            if not 0 < mask < 1 << self.m:
+                raise ValueError(f"like-mask {mask} outside 1 .. 2^{self.m} - 1")
+            if runs and runs[-1][1] == mask:
+                count += runs.pop()[0]
+            runs.append((count, mask))
+        object.__setattr__(self, "entries", tuple(runs))
 
-    @property
+    @classmethod
+    def from_rows(cls, u: Sequence[Sequence[int]]) -> "Problem":
+        """The problem of an ``n x m`` 0/1 matrix with no all-zero row."""
+        if not u or not u[0]:
+            raise ValueError("a problem needs at least one agent and one outcome")
+        m = len(u[0])
+        return cls(m, tuple((1, _row_mask(i, row, m)) for i, row in enumerate(u)))
+
+    @cached_property
     def n(self) -> int:
-        return len(self.u)
+        return sum(c for c, _ in self.entries)
+
+    @cached_property
+    def masks(self) -> tuple:
+        """Each agent's like-mask."""
+        return tuple(mask for c, mask in self.entries for _ in range(c))
 
     @property
-    def m(self) -> int:
-        return len(self.u[0])
+    def u(self) -> tuple:
+        """The ``n x m`` 0/1 approval matrix."""
+        return tuple(mask_row(mask, self.m) for mask in self.masks)
 
     def like_set(self, i: int) -> tuple:
         return mask_outcomes(self.like_mask(i))
 
     def like_mask(self, i: int) -> int:
-        return sum(1 << a for a, x in enumerate(self.u[i]) if x)
+        self._require_agent(i)
+        return self.masks[i]
 
     @property
     def clone_classes(self) -> tuple:
         """(like-mask, agent indices) per distinct like-set: identical agents
         merged into one clone class, in order of first appearance."""
         classes: dict = {}
-        for i, row in enumerate(self.u):
-            classes.setdefault(row, []).append(i)
-        return tuple((self.like_mask(c[0]), tuple(c)) for c in classes.values())
+        for i, mask in enumerate(self.masks):
+            classes.setdefault(mask, []).append(i)
+        return tuple((mask, tuple(agents)) for mask, agents in classes.items())
 
     @property
     def types(self) -> tuple:
         """(count, like-mask) agent types, one per clone class, in the same
         order."""
-        return tuple((len(agents), mask) for mask, agents in self.clone_classes)
+        counts: dict = {}
+        for count, mask in self.entries:
+            counts[mask] = counts.get(mask, 0) + count
+        return tuple((c, mask) for mask, c in counts.items())
 
     def column_sum(self, a: int) -> int:
-        return sum(row[a] for row in self.u)
+        return sum(c for c, mask in self.entries if mask >> a & 1)
 
     def _require_agent(self, i: int) -> None:
         if not 0 <= i < self.n:
@@ -117,13 +141,24 @@ class Problem:
         self._require_agent(i)
         if self.n < 2:
             raise ValueError("cannot drop the only agent")
-        return Problem(tuple(r for k, r in enumerate(self.u) if k != i))
+        masks = self.masks[:i] + self.masks[i + 1:]
+        return Problem(self.m, tuple((1, mask) for mask in masks))
 
     def replace_row(self, i: int, row: Sequence[int]) -> "Problem":
         self._require_agent(i)
-        rows = list(self.u)
-        rows[i] = tuple(row)
-        return Problem(tuple(rows))
+        masks = self.masks[:i] + (_row_mask(i, row, self.m),) + self.masks[i + 1:]
+        return Problem(self.m, tuple((1, mask) for mask in masks))
+
+
+def _row_mask(i: int, row: Sequence[int], m: int) -> int:
+    """The like-mask of agent ``i``'s 0/1 row, checked against ``m``."""
+    if len(row) != m:
+        raise ValueError(f"row {i} has length {len(row)}, expected {m}")
+    if any(x not in (0, 1) for x in row):
+        raise ValueError(f"row {i} contains a non-bit entry")
+    if not any(row):
+        raise ValueError(f"row {i} is all zeros (agent likes nothing)")
+    return sum(1 << a for a, x in enumerate(row) if x)
 
 
 @dataclass(frozen=True)
@@ -174,46 +209,6 @@ class UtilityProfile:
 
 
 @dataclass(frozen=True)
-class TypedProfile:
-    """A compressed problem: (multiplicity, like-mask) pairs, whose listed
-    order numbers the agents of ``to_problem``."""
-
-    m: int
-    entries: tuple  # tuple of (count, like-mask) pairs of ints
-
-    def __post_init__(self) -> None:
-        entries = tuple((int(c), int(mask)) for c, mask in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if self.m < 1:
-            raise ValueError("a profile needs at least one outcome")
-        if not entries:
-            raise ValueError("a profile needs at least one agent type")
-        for count, mask in entries:
-            if count <= 0:
-                raise ValueError("type multiplicities must be positive")
-            if not 0 < mask < 1 << self.m:
-                raise ValueError(f"like-mask {mask} outside 1 .. 2^{self.m} - 1")
-
-    @property
-    def n(self) -> int:
-        return sum(c for c, _ in self.entries)
-
-    @property
-    def types(self) -> tuple:
-        """(count, like-mask) agent types, as for ``Problem.types``."""
-        counts: dict = {}
-        for count, mask in self.entries:
-            counts[mask] = counts.get(mask, 0) + count
-        return tuple((c, mask) for mask, c in counts.items())
-
-    def to_problem(self) -> Problem:
-        rows = []
-        for count, mask in self.entries:
-            rows.extend([mask_row(mask, self.m)] * count)
-        return Problem(tuple(rows))
-
-
-@dataclass(frozen=True)
 class AxiomVerdict:
     """Outcome of an axiom check.
 
@@ -243,7 +238,8 @@ def parse_problem(text: str) -> Problem:
 
     Dense: first line ``"n m"``, then ``n`` lines of ``m`` characters from
     ``{0,1}``.  Typed: first line ``"typed m"``, then lines ``"count
-    bitstring"``, expanded in listed order to at most ``MAX_TYPED_AGENTS`` rows.
+    bitstring"``, the runs in listed order, of at most ``MAX_TYPED_AGENTS``
+    agents.
     """
     lines = [ln.strip() for ln in text.strip().splitlines()]
     if not lines:
@@ -263,10 +259,10 @@ def parse_problem(text: str) -> Problem:
                 raise ValueError(f"malformed typed entry: {ln!r}")
             like = _parse_bitstring_row(parts[1], m)
             entries.append((int(parts[0]), sum(x << a for a, x in enumerate(like))))
-        profile = TypedProfile(m=m, entries=tuple(entries))
-        if profile.n > MAX_TYPED_AGENTS:
+        P = Problem(m, tuple(entries))
+        if P.n > MAX_TYPED_AGENTS:
             raise ValueError(f"typed profile has more than {MAX_TYPED_AGENTS} agents")
-        return profile.to_problem()
+        return P
     if len(header) != 2:
         raise ValueError(f"malformed header: {lines[0]!r}")
     try:
@@ -277,8 +273,7 @@ def parse_problem(text: str) -> Problem:
         raise ValueError("header must declare n >= 1 and m >= 1")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
-    rows = tuple(_parse_bitstring_row(ln, m) for ln in lines[1:])
-    return Problem(rows)
+    return Problem.from_rows(tuple(_parse_bitstring_row(ln, m) for ln in lines[1:]))
 
 
 def _parse_bitstring_row(s: str, m: int) -> tuple:
@@ -295,10 +290,10 @@ def format_problem(P: Problem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_typed_profile(T: TypedProfile) -> str:
-    lines = [f"typed {T.m}"]
-    for count, mask in T.entries:
-        lines.append(f"{count} {''.join(map(str, mask_row(mask, T.m)))}")
+def format_typed_profile(P: Problem) -> str:
+    lines = [f"typed {P.m}"]
+    for count, mask in P.entries:
+        lines.append(f"{count} {''.join(map(str, mask_row(mask, P.m)))}")
     return "\n".join(lines) + "\n"
 
 
@@ -342,12 +337,12 @@ def utilities(P: Problem, z: Mixture) -> UtilityProfile:
     """Exact utilities ``U_i = u_i . z``."""
     if z.m != P.m:
         raise ValueError(f"dimension mismatch: problem has m={P.m}, mixture m={z.m}")
-    return UtilityProfile(tuple(z.weight_on(P.like_mask(i)) for i in range(P.n)))
+    return UtilityProfile(tuple(z.weight_on(mask) for mask in P.masks))
 
 
 def undominated_outcomes(P: Problem) -> set:
     """Outcomes whose supporter set is not strictly contained in another's."""
-    supporters = [frozenset(i for i in range(P.n) if P.u[i][a]) for a in range(P.m)]
+    supporters = [{i for i, x in enumerate(P.masks) if x >> a & 1} for a in range(P.m)]
     result = set()
     for a in range(P.m):
         if not any(supporters[a] < supporters[b] for b in range(P.m)):

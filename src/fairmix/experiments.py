@@ -71,11 +71,7 @@ def impartial_culture(n: int, m: int, seed: int) -> Problem:
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     rng = random.Random(seed)
-    rows = []
-    for _ in range(n):
-        mask = rng.randrange(1, 1 << m)
-        rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem(tuple(rows))
+    return Problem(m, tuple((1, rng.randrange(1, 1 << m)) for _ in range(n)))
 
 
 def welfare_ratio(P: Problem, rule: rules.RuleId) -> Fraction:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .core import Mixture, Problem, TypedProfile
+from .core import Mixture, Problem
 
 __all__ = [
     "fixture",
@@ -93,14 +93,15 @@ def fixture(name: str) -> Problem:
     if name not in fixture_names():
         raise ValueError(f"unknown fixture {name!r}")
     if name in _FIXTURES:
-        return Problem(_FIXTURES[name])
+        return Problem.from_rows(_FIXTURES[name])
     family = name.removesuffix("-misreport")
-    return APPENDIX_FAMILIES[family](name != family).to_problem()
+    return APPENDIX_FAMILIES[family](name != family)
 
 
 def fixture_names() -> tuple:
     """The worked examples, then each appendix family truthful and misreported,
-    except sp0: its 1,227,856 agents are too many to expand into a problem."""
+    except sp0: checks run per agent over every fixture, and sp0 has
+    1,227,856 agents."""
     typed = [family for family in APPENDIX_FAMILIES if family != "sp0"]
     return tuple(_FIXTURES) + tuple(f + s for f in typed for s in ("", "-misreport"))
 
@@ -181,7 +182,7 @@ def cut_worstcase(params: CutWorstCaseParams) -> Problem:
         for t in range(p - 1):
             row[1 + n2 + (j + t) % n2] = 1
         rows.append(tuple(row))
-    return Problem(tuple(rows))
+    return Problem.from_rows(tuple(rows))
 
 
 def rp_worstcase(params: RpWorstCaseParams) -> Problem:
@@ -205,7 +206,7 @@ def rp_worstcase(params: RpWorstCaseParams) -> Problem:
             if i in S:
                 row[d + c] = 1
         rows.append(tuple(row))
-    return Problem(tuple(rows))
+    return Problem.from_rows(tuple(rows))
 
 
 def _cbrt_rational(n: int, up: bool, digits: int = 9) -> Fraction:
@@ -267,13 +268,13 @@ _A36_TRUTHFUL = (
 )
 
 
-def appendix_36(misreport: bool = False) -> TypedProfile:
+def appendix_36(misreport: bool = False) -> Problem:
     """The 36-agent, 4-outcome profile on which the Nash rule rewards a
     type-{a} agent for additionally reporting b."""
     if not misreport:
-        return TypedProfile(m=4, entries=_A36_TRUTHFUL)
+        return Problem(m=4, entries=_A36_TRUTHFUL)
     entries = ((3, 0b0001), (1, 0b0011)) + _A36_TRUTHFUL[1:]
-    return TypedProfile(m=4, entries=entries)
+    return Problem(m=4, entries=entries)
 
 
 #: Nash optimum of the truthful 860-agent profile (exact, certified).
@@ -286,7 +287,7 @@ APPENDIX_860_Z_MISREPORT = Mixture(
 )
 
 
-def appendix_860(misreport: bool = False) -> TypedProfile:
+def appendix_860(misreport: bool = False) -> Problem:
     """860 agents over outcomes (a, b, c1, c2).
 
     The truthful profile's Nash optimum is exactly (9/20, 1/20, 1/4, 1/4);
@@ -309,7 +310,7 @@ def appendix_860(misreport: bool = False) -> TypedProfile:
         entries = ((1, 0b0001), (44, 0b0011)) + common
     else:
         entries = ((45, 0b0001),) + common
-    return TypedProfile(m=4, entries=entries)
+    return Problem(m=4, entries=entries)
 
 
 #: Nash optimum when the K switching agents report {a, a', a''}.
@@ -362,8 +363,8 @@ def appendix_sp0():
         (243390, 0b10010),  # a' c
         (243390, 0b10100),  # a'' c
     )
-    truthful = TypedProfile(m=5, entries=(switching_true,) + rest)
-    misreported = TypedProfile(m=5, entries=(switching_reported,) + rest)
+    truthful = Problem(m=5, entries=(switching_true,) + rest)
+    misreported = Problem(m=5, entries=(switching_reported,) + rest)
     return truthful, misreported
 
 

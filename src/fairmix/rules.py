@@ -28,10 +28,10 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import lp
-from .core import Mixture, Problem, TypedProfile, utilities
+from .core import Mixture, Problem, utilities
 
 __all__ = [
     "RuleId",
@@ -380,7 +380,7 @@ def _min_norm_weights(rows, vals, sizes, start) -> list:
 # NMP and h-rules
 
 
-def kkt_residual(P: Union[Problem, TypedProfile], z: Mixture) -> Fraction:
+def kkt_residual(P: Problem, z: Mixture) -> Fraction:
     """Exact stationarity residual of the Nash log-welfare gradient at ``z``.
 
     For supported outcomes the gradient sum must equal the agent count n; for
@@ -449,7 +449,7 @@ class _WelfareSolver:
     removes the Jacobian singularity duplicate outcomes would cause.
     """
 
-    def __init__(self, P: Union[Problem, TypedProfile]):
+    def __init__(self, P: Problem):
         types, self.n, self.m = P.types, P.n, P.m
         masks = [mask for _, mask in types]
         self.outcomes = [cls for cls, _ in _outcome_classes(types, self.m)]
@@ -628,7 +628,7 @@ class _PowerWelfare(_WelfareSolver):
     # (2/3, 1/3) and (1/5, 4/5).
     damp_on_tie = True
 
-    def __init__(self, P: Union[Problem, TypedProfile], q: float):
+    def __init__(self, P: Problem, q: float):
         super().__init__(P)
         self.q, self.sign = q, (1.0 if q > 0 else -1.0)
 
@@ -646,7 +646,7 @@ class _PowerWelfare(_WelfareSolver):
         return sum(c * self.sign * u**self.q for c, u in zip(self.counts, U))
 
 
-def nmp_rule(P: Union[Problem, TypedProfile]) -> NmpSolution:
+def nmp_rule(P: Problem) -> NmpSolution:
     """Nash max product: maximize the sum of log utilities over the simplex.
 
     The log member of the welfare solver, whose step is z_a <- z_a * (1/n)
@@ -673,16 +673,27 @@ def nmp_rule(P: Union[Problem, TypedProfile]) -> NmpSolution:
     )
 
 
-def h_rule(P: Union[Problem, TypedProfile], q) -> HRuleSolution:
+def h_rule(P: Problem, q) -> HRuleSolution:
     """Power-family welfare rule: maximize sum of sign(q) * U_i^q, q < 1, q != 0.
 
     The power member of the welfare solver, with gradient weights h'(U) =
     |q| * U^(q-1).  The objective is strictly concave in utilities, so the
-    optimal utility profile is unique.
+    optimal utility profile is unique.  A q too large or too small in
+    magnitude for a nonzero float, or whose powers overflow a float in the
+    solve, raises ``ValueError``.
     """
     q = HRULE(q).q  # RuleId refuses q >= 1 and q == 0
-    solver = _PowerWelfare(P, float(q))
-    zf, iterations, converged = solver.solve()
+    try:
+        qf = float(q)
+    except OverflowError:
+        qf = 0.0  # as far out of float range as an underflow to 0
+    if qf == 0:
+        raise ValueError("hrule exponent q is out of float range")
+    solver = _PowerWelfare(P, qf)
+    try:
+        zf, iterations, converged = solver.solve()
+    except OverflowError:
+        raise ValueError(f"hrule exponent q={q} overflows the float solver") from None
     return HRuleSolution(z=solver.mixture(zf), iterations=iterations, converged=converged)
 
 

@@ -74,7 +74,7 @@ def _random_problem(rng, max_n, max_m, min_n=1):
     for _ in range(n):
         mask = rng.randrange(1, 1 << m)
         rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem(tuple(rows))
+    return Problem.from_rows(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +166,8 @@ _A36_SUPERSEDED_MISREPORT = (
 
 def test_criterion_03_a36_exsp_violation():
     start = time.monotonic()
-    truthful = generators.appendix_36().to_problem()
-    misreported = generators.appendix_36(misreport=True).to_problem()
+    truthful = generators.appendix_36()
+    misreported = generators.appendix_36(misreport=True)
     zt = rules.nmp_rule(truthful).z
     zm = rules.nmp_rule(misreported).z
     dev_t = max(
@@ -245,7 +245,7 @@ def test_criterion_03_reference_evidence():
 
         old = [F(x) for x in superseded]
         old = [x / sum(old) for x in old]
-        solver = rules.nmp_rule(profile.to_problem()).z.z
+        solver = rules.nmp_rule(profile).z.z
         assert _nash_product(entries, old) < _nash_product(entries, solver)
 
 
@@ -365,10 +365,10 @@ def _minus_witnesses():
     ex5 = generators.fixture("ex5")
     egal_true = generators.fixture("egal-true")
     decmp = generators.fixture("dec-mprime")
-    a36 = generators.appendix_36().to_problem()
+    a36 = generators.appendix_36()
     cw554 = generators.cut_worstcase(generators.CutWorstCaseParams(5, 5, 4))
-    clone = Problem(((1, 0), (1, 0), (0, 1)))
-    part_util = Problem(((1, 0), (0, 1), (0, 1)))
+    clone = Problem.from_rows(((1, 0), (1, 0), (0, 1)))
+    part_util = Problem.from_rows(((1, 0), (0, 1), (0, 1)))
     return {
         ("EFF", "RP"): ex3,
         ("EFF", "CUT"): cw554,
@@ -570,7 +570,7 @@ def _ic_profiles(n, m, up_to_relabeling=False):
         weights[key] += weight
     for combo, weight in weights.items():
         rows = tuple(tuple(mask >> a & 1 for a in range(m)) for mask in combo)
-        yield Problem(rows), weight
+        yield Problem.from_rows(rows), weight
 
 
 def _cut_oracle(P):
@@ -662,7 +662,7 @@ def test_criterion_09_egal_grid_oracle():
         ]
         for n in (1, 2, 3, 4):
             for combo in itertools.combinations_with_replacement(row_types, n):
-                P = Problem(combo)
+                P = Problem.from_rows(combo)
                 U, _ = rules.egal_rule(P)
                 exact = sorted(float(x) for x in U.U)
                 scores = np.sort(grid @ np.array(P.u, dtype=float).T, axis=1)
@@ -705,10 +705,10 @@ def test_criterion_10_invariant_suites():
             P = _random_problem(rng, max_n=5, max_m=4)
             rperm = list(range(P.n))
             rng.shuffle(rperm)
-            Pr = Problem(tuple(P.u[rperm[i]] for i in range(P.n)))
+            Pr = Problem.from_rows(tuple(P.u[rperm[i]] for i in range(P.n)))
             cperm = list(range(P.m))
             rng.shuffle(cperm)
-            Pc = Problem(
+            Pc = Problem.from_rows(
                 tuple(tuple(row[cperm[a]] for a in range(P.m)) for row in P.u)
             )
             for rid in _RULE_IDS.values():
@@ -734,7 +734,7 @@ def test_criterion_10_invariant_suites():
         for _ in range(15):
             P = _random_problem(rng, max_n=5, max_m=4)
             i = rng.randrange(P.n)
-            clone = Problem(P.u + (P.u[i],))
+            clone = Problem.from_rows(P.u + (P.u[i],))
             U, _ = rules.egal_rule(P)
             U2, _ = rules.egal_rule(clone)
             assert U2.U[: P.n] == U.U and U2.U[P.n] == U.U[i]
@@ -763,7 +763,7 @@ def test_criterion_10_invariant_suites():
             B = _random_problem(rng, max_n=3, max_m=3)
             rows = [row + (0,) * B.m for row in A.u]
             rows += [(0,) * A.m + row for row in B.u]
-            cases.append(Problem(tuple(rows)))
+            cases.append(Problem.from_rows(tuple(rows)))
         for P in cases:
             for rid in (rules.NMP, rules.CUT, rules.RP):
                 assert axioms.check_dec(rid, P).passed is True

@@ -37,7 +37,7 @@ def _random_problem(rng, max_n=6, max_m=5):
     for _ in range(n):
         mask = rng.randrange(1, 1 << m)
         rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem(tuple(rows))
+    return Problem.from_rows(tuple(rows))
 
 
 # ---------------------------------------------------------------- IFS
@@ -60,7 +60,7 @@ def test_ifs_util_fails_on_ex3():
 
 
 def test_ifs_single_agent():
-    P = Problem(((1, 0),))
+    P = Problem.from_rows(((1, 0),))
     assert check_ifs(P, UtilityProfile((F(1),))).passed is True
     assert check_ifs(P, UtilityProfile((F(1, 2),))).passed is False
 
@@ -79,7 +79,7 @@ def test_ufs_cut_always_passes():
 def test_ufs_egal_fails_with_clones():
     # two clones liking {a} against one agent liking {b}: leximin splits
     # half-half, clones get 1/2 < 2/3
-    P = Problem(((1, 0), (1, 0), (0, 1)))
+    P = Problem.from_rows(((1, 0), (1, 0), (0, 1)))
     U, _ = rules.egal_rule(P)
     assert U.U == (F(1, 2), F(1, 2), F(1, 2))
     verdict = check_ufs(P, U)
@@ -88,7 +88,7 @@ def test_ufs_egal_fails_with_clones():
 
 
 def test_ufs_all_identical():
-    P = Problem(((1, 0), (1, 0)))
+    P = Problem.from_rows(((1, 0), (1, 0)))
     assert check_ufs(P, UtilityProfile((F(1), F(1)))).passed is True
     assert check_ufs(P, UtilityProfile((F(1), F(9, 10)))).passed is False
 
@@ -119,7 +119,7 @@ def test_gfs_util_fails_on_ex3():
 
 
 # 17 distinct like-sets over 5 outcomes: one agent type more than the cap
-SEVENTEEN_TYPES = Problem(
+SEVENTEEN_TYPES = Problem.from_rows(
     tuple(tuple(k >> a & 1 for a in range(5)) for k in range(1, 18))
 )
 
@@ -149,7 +149,7 @@ def test_afs_passes_on_cfs_example_profile():
 def test_afs_reduces_to_ifs_when_no_common_outcomes():
     # disjoint singleton like-sets: only singleton coalitions share an
     # outcome, so AFS == IFS
-    P = Problem(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    P = Problem.from_rows(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     good = UtilityProfile((F(1, 3), F(1, 3), F(1, 3)))
     bad = UtilityProfile((F(1, 4), F(1, 4), F(1, 2)))
     assert check_afs(P, good).passed is True
@@ -197,7 +197,7 @@ def test_cfs_size_refusal():
 
 def test_coalition_checkers_accept_many_clones():
     # 40 agents of 2 types: the cap counts agent types, not agents
-    P = Problem(((1, 0),) * 30 + ((0, 1),) * 10)
+    P = Problem.from_rows(((1, 0),) * 30 + ((0, 1),) * 10)
     z = Mixture((F(3, 4), F(1, 4)))
     U = utilities(P, z)
     assert check_gfs(P, U, z).passed is True
@@ -213,14 +213,14 @@ def test_coalition_checkers_accept_many_clones():
 
 
 def test_cfs_refuses_unequal_clone_utilities():
-    P = Problem(((1, 0), (1, 0), (0, 1)))
+    P = Problem.from_rows(((1, 0), (1, 0), (0, 1)))
     with pytest.raises(ValueError, match="clones"):
         check_cfs(P, UtilityProfile((F(1, 2), F(1, 3), F(1, 2))))
 
 
 @pytest.mark.parametrize("size", [1, 3])
 def test_share_checkers_refuse_profile_of_wrong_size(size):
-    P = Problem(((1, 0), (0, 1)))
+    P = Problem.from_rows(((1, 0), (0, 1)))
     U = UtilityProfile((F(1, 2),) * size)
     for check in (check_ifs, check_ufs, check_afs, check_cfs):
         with pytest.raises(ValueError, match="differs from agent count"):
@@ -240,7 +240,7 @@ def _clone_heavy_profiles(draw):
     pool = sorted({op(a, b) for a in base for b in base
                    for op in (int.__and__, int.__or__)} - {0})
     masks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-    return Problem(tuple(tuple(k >> a & 1 for a in range(m)) for k in masks))
+    return Problem.from_rows(tuple(tuple(k >> a & 1 for a in range(m)) for k in masks))
 
 
 def _oracle_verdicts(P, U, z):
@@ -357,7 +357,7 @@ def test_cut_and_rp_sp_on_random():
 
 
 def test_nmp_sp_plus_violation_on_36_agent_profile():
-    P = generators.appendix_36(misreport=False).to_problem()
+    P = generators.appendix_36(misreport=False)
     verdict = check_sp(rules.NMP, P, SpVariant.SP_PLUS)
     assert verdict.passed is False
     # a type-{a} agent adds b
@@ -392,7 +392,7 @@ def _misreport_gains(rule, P, variant):
             report = frozenset(a for a in range(P.m) if bits[a])
             if not report or report == truth or not admissible(truth, report):
                 continue
-            z = rules.evaluate(rule, Problem(P.u[:i] + (bits,) + P.u[i + 1:]))[1]
+            z = rules.evaluate(rule, Problem.from_rows(P.u[:i] + (bits,) + P.u[i + 1:]))[1]
             gains[i, report] = sum(z.z[a] for a in consumed(truth, report)) - U[i]
     return gains
 
@@ -416,10 +416,10 @@ def test_check_sp_matches_misreport_walk_oracle(P):
 
 
 def test_sp_size_refusals():
-    wide = Problem((tuple([1] * 7),))
+    wide = Problem.from_rows((tuple([1] * 7),))
     with pytest.raises(ValueError):
         check_sp(rules.CUT, wide, SpVariant.SP)
-    tall = Problem(tuple((1, 0) for _ in range(9)))
+    tall = Problem.from_rows(tuple((1, 0) for _ in range(9)))
     with pytest.raises(ValueError):
         check_sp(rules.CUT, tall, SpVariant.SP)
 
@@ -441,7 +441,7 @@ def test_participation_strict_cut_nmp_random():
 
 def test_participation_strict_egal_fails_with_clone():
     # an agent with a clone changes nothing by showing up
-    P = Problem(((1, 0), (1, 0), (0, 1)))
+    P = Problem.from_rows(((1, 0), (1, 0), (0, 1)))
     assert check_participation(rules.EGAL, P, strict=False).passed is True
     verdict = check_participation(rules.EGAL, P, strict=True)
     assert verdict.passed is False
@@ -450,7 +450,7 @@ def test_participation_strict_egal_fails_with_clone():
 
 def test_participation_needs_two_agents():
     with pytest.raises(ValueError):
-        check_participation(rules.CUT, Problem(((1,),)))
+        check_participation(rules.CUT, Problem.from_rows(((1,),)))
 
 
 # ---------------------------------------------------------------- DEC

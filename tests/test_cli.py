@@ -353,6 +353,29 @@ def test_hrule_without_q_is_a_usage_error(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--fixture", "ex3", "--rule", "hrule", "--q=-50"),
+    ("solve", "--fixture", "ex3", "--rule", "hrule", "--q=-1000"),
+    ("solve", "--fixture", "ex3", "--rule", "hrule", "--q=-1e400"),
+    ("solve", "--fixture", "ex3", "--rule", "hrule", "--q=1e-400"),
+    ("table", "--agents", "3", "--outcomes", "3", "--rules", "hrule", "--q=-300"),
+])
+def test_hrule_q_beyond_float_range_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("rule", ["util", "cut", "egal", "rp"])
+def test_solve_appendix860_builds_no_rows(capsys, monkeypatch, rule):
+    def no_rows(P):
+        raise AssertionError("the 0/1 rows were built")
+
+    monkeypatch.setattr(core.Problem, "u", property(no_rows))
+    rules.evaluate.cache_clear()  # a memo hit would run no rule at all
+    code, out, _ = run(capsys, "solve", "--fixture", "appendix860", "--rule", rule)
+    assert code == 0 and len(out.split()) == 4
+
+
 # ---------------------------------------------------------------- input caps
 
 

@@ -5,16 +5,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairmix import core, generators, lp, rules
 from fairmix.core import (
     Mixture,
     Problem,
-    TypedProfile,
     UtilityProfile,
     epsilon_inefficiency,
     format_mixture,
     format_problem,
+    format_typed_profile,
     is_efficient,
     parse_mixture,
     parse_rational,
@@ -33,7 +35,7 @@ def _random_problem(rng, max_n=6, max_m=6):
     for _ in range(n):
         mask = rng.randrange(1, 1 << m)
         rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem(tuple(rows))
+    return Problem.from_rows(tuple(rows))
 
 
 def _random_mixture(rng, m, support=None):
@@ -53,17 +55,17 @@ def _random_mixture(rng, m, support=None):
 
 def test_problem_rejects_zero_row():
     with pytest.raises(ValueError):
-        Problem(((0, 0), (1, 1)))
+        Problem.from_rows(((0, 0), (1, 1)))
 
 
 def test_problem_rejects_ragged_rows():
     with pytest.raises(ValueError):
-        Problem(((1, 0), (1,)))
+        Problem.from_rows(((1, 0), (1,)))
 
 
 def test_problem_normalises_list_rows():
-    P = Problem([[1, 0], [0, 1]])
-    assert P.u == ((1, 0), (0, 1)) and P == Problem(((1, 0), (0, 1)))
+    P = Problem.from_rows([[1, 0], [0, 1]])
+    assert P.u == ((1, 0), (0, 1)) and P == Problem.from_rows(((1, 0), (0, 1)))
     # hashable, so the memoized rule dispatcher accepts it
     assert rules.evaluate(rules.UTIL, P) == rules.util_rule(P)
     assert rules.util_rule(P)[1].z == (F(1, 2), F(1, 2))
@@ -83,21 +85,21 @@ def test_utility_profile_range():
 
 
 def test_typed_profile_expansion_order_stable():
-    tp = TypedProfile(m=3, entries=((2, 0b001), (1, 0b110)))
-    P = tp.to_problem()
+    tp = Problem(m=3, entries=((2, 0b001), (1, 0b110)))
+    P = tp
     assert P.u == ((1, 0, 0), (1, 0, 0), (0, 1, 1))
     with pytest.raises(ValueError):
-        TypedProfile(m=3, entries=((0, 0b001),))
+        Problem(m=3, entries=((0, 0b001),))
     with pytest.raises(ValueError):
-        TypedProfile(m=3, entries=((1, 0),))
+        Problem(m=3, entries=((1, 0),))
     with pytest.raises(ValueError):
-        TypedProfile(m=3, entries=())
+        Problem(m=3, entries=())
     with pytest.raises(ValueError):
-        TypedProfile(m=0, entries=())
+        Problem(m=0, entries=())
 
 
 def test_agent_index_out_of_range():
-    P = Problem(((1, 0), (0, 1), (1, 1)))
+    P = Problem.from_rows(((1, 0), (0, 1), (1, 1)))
     for i in (5, -1):
         with pytest.raises(ValueError):
             P.drop_agent(i)
@@ -106,6 +108,59 @@ def test_agent_index_out_of_range():
             P.replace_row(i, (1, 1))
     assert P.drop_agent(2).u == ((1, 0), (0, 1))
     assert P.replace_row(2, (0, 1)).u == ((1, 0), (0, 1), (0, 1))
+
+
+def test_like_mask_rejects_agent_index_out_of_range():
+    P = Problem.from_rows(((1, 0), (0, 1)))
+    for i in (-1, 5):
+        with pytest.raises(ValueError):
+            P.like_mask(i)
+        with pytest.raises(ValueError):
+            P.like_set(i)
+    assert (P.like_mask(1), P.like_set(1)) == (0b10, (1,))
+
+
+@st.composite
+def _runs(draw):
+    """(m, entries, rows): runs whose masks come from a small pool, so
+    adjacent runs often share a mask, and the 0/1 rows they list."""
+    m = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=3))
+    entries = draw(st.lists(
+        st.tuples(st.integers(1, 4), st.sampled_from(pool)), min_size=1, max_size=6
+    ))
+    rows = [
+        tuple(mask >> a & 1 for a in range(m)) for count, mask in entries
+        for _ in range(count)
+    ]
+    return m, entries, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_runs(), st.data())
+def test_runs_agree_with_their_rows(runs, data):
+    m, entries, rows = runs
+    P = Problem(m, entries)
+    assert P == Problem.from_rows(rows) and hash(P) == hash(Problem.from_rows(rows))
+    masks = [sum(x << a for a, x in enumerate(row)) for row in rows]
+    classes = {}
+    for i, row in enumerate(rows):
+        classes.setdefault(row, []).append(i)
+    assert P.n == len(rows) and P.u == tuple(rows)
+    assert P.clone_classes == tuple(
+        (masks[agents[0]], tuple(agents)) for agents in classes.values()
+    )
+    assert P.types == tuple((len(agents), masks[agents[0]]) for agents in classes.values())
+    assert [P.column_sum(a) for a in range(m)] == [sum(col) for col in zip(*rows)]
+    assert [P.like_mask(i) for i in range(len(rows))] == masks
+    i = data.draw(st.integers(0, len(rows) - 1))
+    mask = data.draw(st.integers(1, 2**m - 1))
+    row = tuple(mask >> a & 1 for a in range(m))
+    assert P.replace_row(i, row) == Problem.from_rows(rows[:i] + [row] + rows[i + 1:])
+    if len(rows) > 1:
+        assert P.drop_agent(i) == Problem.from_rows(rows[:i] + rows[i + 1:])
+    assert parse_problem(format_problem(P)) == P
+    assert parse_problem(format_typed_profile(P)) == P
 
 
 # ---------------------------------------------------------------- parsing
@@ -137,6 +192,15 @@ def test_parse_typed_format():
     assert P.u == ((1, 0, 0), (1, 0, 0), (0, 1, 1))
     with pytest.raises(ValueError):
         parse_problem("typed 3\n0 100")
+
+
+def test_typed_agent_cap_is_inclusive():
+    # typed files are kept as runs, so a file at the cap parses at once
+    cap = core.MAX_TYPED_AGENTS
+    P = parse_problem(f"typed 2\n{cap - 1} 01\n1 01")
+    assert P.n == cap and P.entries == ((cap, 0b10),)
+    with pytest.raises(ValueError, match="agents"):
+        parse_problem(f"typed 2\n{cap} 01\n1 10")
 
 
 def test_problem_round_trip():
@@ -221,7 +285,7 @@ def test_undominated_egal_true():
 
 
 def test_undominated_identical_columns():
-    P = Problem(((1, 1), (1, 1), (1, 1)))
+    P = Problem.from_rows(((1, 1), (1, 1), (1, 1)))
     assert undominated_outcomes(P) == {0, 1}
 
 
@@ -230,7 +294,7 @@ def test_undominated_clone_invariance():
     for _ in range(50):
         P = _random_problem(rng, max_m=5)
         a = rng.randrange(P.m)
-        cloned = Problem(tuple(row + (row[a],) for row in P.u))
+        cloned = Problem.from_rows(tuple(row + (row[a],) for row in P.u))
         before = undominated_outcomes(P)
         after = undominated_outcomes(cloned)
         # the original columns keep their status, and the clone of a is

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from fairmix.core import (
     Mixture,
     Problem,
-    TypedProfile,
     format_mixture,
     format_problem,
     format_typed_profile,
@@ -34,7 +33,7 @@ MAX_AGENTS, MAX_OUTCOMES, MAX_COUNT, MAX_EXPONENT = 8, 6, 20, 10**6
 def _problems(draw):
     m = draw(st.integers(1, MAX_OUTCOMES))
     masks = draw(st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=MAX_AGENTS))
-    return Problem(tuple(tuple(mask >> a & 1 for a in range(m)) for mask in masks))
+    return Problem.from_rows(tuple(tuple(mask >> a & 1 for a in range(m)) for mask in masks))
 
 
 @st.composite
@@ -48,7 +47,7 @@ def _typed_profiles(draw):
         min_size=1,
         max_size=5,
     ))
-    return TypedProfile(m=m, entries=tuple(entries))
+    return Problem(m=m, entries=tuple(entries))
 
 
 @st.composite
@@ -107,7 +106,7 @@ def test_dense_format_round_trips(P):
 @settings(max_examples=200, deadline=None)
 @given(_typed_profiles())
 def test_typed_format_round_trips(T):
-    assert parse_problem(format_typed_profile(T)) == T.to_problem()
+    assert parse_problem(format_typed_profile(T)) == T
 
 
 @settings(max_examples=200, deadline=None)

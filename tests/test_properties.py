@@ -17,7 +17,7 @@ def _random_problem(rng, max_n=6, max_m=5, min_n=1):
     for _ in range(n):
         mask = rng.randrange(1, 1 << m)
         rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem(tuple(rows))
+    return Problem.from_rows(tuple(rows))
 
 
 def _random_mixture(rng, m):
@@ -151,6 +151,6 @@ def test_dec_exact_rules_on_random_polarized_instances():
         B = _random_problem(rng, max_n=3, max_m=3)
         rows = [row + (0,) * B.m for row in A.u]
         rows += [(0,) * A.m + row for row in B.u]
-        P = Problem(tuple(rows))
+        P = Problem.from_rows(tuple(rows))
         for rid in (rules.CUT, rules.RP, rules.NMP):
             assert axioms.check_dec(rid, P).passed is True

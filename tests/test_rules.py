@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairmix import core, experiments, generators, lp, rules
-from fairmix.core import Mixture, Problem, TypedProfile, utilities
+from fairmix.core import Mixture, Problem, utilities
 from fairmix.rules import (
     CUT,
     EGAL,
@@ -43,7 +43,7 @@ def _electorate(seed, j, m, types, agents):
     masks = rng.sample(range(1, 1 << m), types)
     cuts = sorted(rng.sample(range(1, agents), types - 1))
     counts = [b - a for a, b in zip([0] + cuts, cuts + [agents])]
-    return TypedProfile(m=m, entries=list(zip(counts, masks)))
+    return Problem(m=m, entries=list(zip(counts, masks)))
 
 
 def _random_problem(rng, max_n=6, max_m=6):
@@ -53,7 +53,7 @@ def _random_problem(rng, max_n=6, max_m=6):
     for _ in range(n):
         mask = rng.randrange(1, 1 << m)
         rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem(tuple(rows))
+    return Problem.from_rows(tuple(rows))
 
 
 # ---------------------------------------------------------------- UTIL
@@ -65,7 +65,7 @@ def test_util_ex3_point_mass_on_d():
 
 
 def test_util_identical_columns_collapse():
-    P = Problem(((1, 1), (1, 1)))
+    P = Problem.from_rows(((1, 1), (1, 1)))
     U, z = util_rule(P)
     # two identical columns form one class; its mass is split inside the
     # class but utilities equal the reduced problem's
@@ -94,7 +94,7 @@ def test_cut_ex5():
 
 
 def test_cut_single_agent_uniform_split():
-    P = Problem(((1, 1, 0),))
+    P = Problem.from_rows(((1, 1, 0),))
     U, z = cut_rule(P)
     assert z.z == (F(1, 2), F(1, 2), F(0))
     assert U.U == (F(1),)
@@ -103,14 +103,14 @@ def test_cut_single_agent_uniform_split():
 def test_cut_universal_likers_participate():
     # an agent liking everything spreads her share over the most-supported
     # column classes like anyone else
-    P = Problem(((1, 1), (1, 0)))
+    P = Problem.from_rows(((1, 1), (1, 0)))
     U, z = cut_rule(P)
     assert z.z == (F(1), F(0))  # column a has support 2, b support 1
 
 
 def test_cut_clones_share_by_count():
     # the two clones of type {a} control 2/3 together
-    U, z = cut_rule(Problem(((1, 0), (1, 0), (0, 1))))
+    U, z = cut_rule(Problem.from_rows(((1, 0), (1, 0), (0, 1))))
     assert z.z == (F(2, 3), F(1, 3))
 
 
@@ -125,14 +125,14 @@ def test_sigma_priority_ex3_trace():
 
 
 def test_sigma_priority_single_agent():
-    P = Problem(((1, 0, 1),))
+    P = Problem.from_rows(((1, 0, 1),))
     U, z = sigma_priority(P, (0,))
     assert U.U == (F(1),)
     assert z.z == (F(1, 2), F(0), F(1, 2))
 
 
 def test_sigma_priority_common_outcome():
-    P = Problem(((1, 1, 0), (1, 0, 1), (1, 0, 0)))
+    P = Problem.from_rows(((1, 1, 0), (1, 0, 1), (1, 0, 0)))
     U, z = sigma_priority(P, (0, 1, 2))
     assert z.z == (F(1), F(0), F(0))
     assert U.U == (F(1), F(1), F(1))
@@ -158,7 +158,7 @@ def test_rp_ex5():
 
 
 def test_rp_single_agent_equals_cut():
-    P = Problem(((0, 1, 1),))
+    P = Problem.from_rows(((0, 1, 1),))
     assert rp_exact(P) == cut_rule(P)
 
 
@@ -187,7 +187,7 @@ def _nested_profiles(draw, max_agents=6):
     base = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=3))
     pool = sorted({a & b for a in base for b in base} - {0})
     masks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_agents))
-    return Problem(tuple(tuple(k >> a & 1 for a in range(m)) for k in masks))
+    return Problem.from_rows(tuple(tuple(k >> a & 1 for a in range(m)) for k in masks))
 
 
 @settings(max_examples=150, deadline=None)
@@ -208,7 +208,7 @@ def test_rp_matches_all_orders(P):
     assert U == utilities(P, z)
     # cloning every agent 3 times (n up to 18) scales all type counts
     # together, so the mixture cannot change
-    clones = Problem(tuple(row for row in P.u for _ in range(3)))
+    clones = Problem.from_rows(tuple(row for row in P.u for _ in range(3)))
     U3, z3 = rp_exact(clones)
     assert z3.z == expected
     assert U3 == utilities(clones, z3)
@@ -228,7 +228,7 @@ def test_rp_size_refusal():
     # 12 co-singletons over 12 outcomes reach all 4,095 nonempty feasible sets:
     # 12 * 4,095 DP steps, over the budget, refused by the integer count alone
     m = 12
-    P = Problem(tuple(tuple(int(a != i) for a in range(m)) for i in range(m)))
+    P = Problem.from_rows(tuple(tuple(int(a != i) for a in range(m)) for i in range(m)))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="DP steps"):
         rp_exact(P)
@@ -359,7 +359,7 @@ def test_egal_clone_invariance():
     for _ in range(25):
         P = _random_problem(rng, max_n=5, max_m=4)
         i = rng.randrange(P.n)
-        clone = Problem(P.u + (P.u[i],))
+        clone = Problem.from_rows(P.u + (P.u[i],))
         U, _ = egal_rule(P)
         U2, _ = egal_rule(clone)
         assert U2.U[: P.n] == U.U
@@ -373,7 +373,7 @@ def test_egal_canonical_mixture_neutrality():
         P = _random_problem(rng, max_n=5, max_m=4)
         perm = list(range(P.m))
         rng.shuffle(perm)
-        Q = Problem(tuple(tuple(row[perm[a]] for a in range(P.m)) for row in P.u))
+        Q = Problem.from_rows(tuple(tuple(row[perm[a]] for a in range(P.m)) for row in P.u))
         _, z = egal_rule(P)
         _, zq = egal_rule(Q)
         assert zq.z == tuple(z.z[perm[a]] for a in range(P.m))
@@ -412,7 +412,7 @@ def test_egal_mixture_is_the_minimum_norm_one():
         cols = [rng.choice(base) for _ in range(m)]
         rows = tuple(tuple(col[i] for col in cols) for i in range(n))
         if all(any(row) for row in rows):
-            problems.append(Problem(rows))
+            problems.append(Problem.from_rows(rows))
     for P in problems:
         U, z = egal_rule(P)
         assert utilities(P, z) == U
@@ -433,7 +433,7 @@ def test_nmp_afs_example():
 
 
 def test_nmp_single_agent():
-    P = Problem(((1, 1, 0),))
+    P = Problem.from_rows(((1, 1, 0),))
     sol = nmp_rule(P)
     assert sol.converged
     U = utilities(P, sol.z)
@@ -485,13 +485,15 @@ def _typed_with_repeats(draw):
     entries = draw(st.lists(
         st.tuples(st.integers(1, 20), st.sampled_from(pool)), min_size=1, max_size=6
     ))
-    return TypedProfile(m=m, entries=entries)
+    return Problem(m=m, entries=entries)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_typed_with_repeats())
 def test_typed_profile_agrees_with_its_expansion(T):
-    P = T.to_problem()
+    P = Problem.from_rows(
+        [tuple(mask >> a & 1 for a in range(T.m)) for c, mask in T.entries for _ in range(c)]
+    )
     assert T.types == P.types and T.n == P.n
     z = nmp_rule(T).z
     assert kkt_residual(T, z) == kkt_residual(P, z)
@@ -500,13 +502,13 @@ def test_typed_profile_agrees_with_its_expansion(T):
 
 
 def test_kkt_residual_trivial():
-    P = Problem(((1, 1),))
+    P = Problem.from_rows(((1, 1),))
     assert kkt_residual(P, Mixture((F(1, 2), F(1, 2)))) == 0
 
 
 def test_kkt_residual_counts_a_deficit_on_a_supported_outcome():
     # at (2/3, 1/3): U = (2/3, 1), g_a = 3/2 + 1 = n + 1/2 and g_b = 1 = n - 1
-    P = Problem(((1, 0), (1, 1)))
+    P = Problem.from_rows(((1, 0), (1, 1)))
     assert kkt_residual(P, Mixture((F(2, 3), F(1, 3)))) == 1
 
 
@@ -567,7 +569,7 @@ def test_hrule_symmetric_on_ex5():
 
 
 def test_hrule_single_agent():
-    P = Problem(((0, 1),))
+    P = Problem.from_rows(((0, 1),))
     sol = h_rule(P, q=F(-1))
     assert utilities(P, sol.z).U[0] > 1 - F(1, 10**6)
 
@@ -590,7 +592,7 @@ def test_hrule_newton_on_electorate():
 def test_hrule_damps_on_objective_tie():
     # without damping on an exact tie, q = -1 cycles between class weights
     # (2/3, 1/3) and (1/5, 4/5) here; the optimum is U_0 = 1/(1 + sqrt 2)
-    P = Problem(((1, 1, 0), (0, 0, 1), (0, 0, 1)))
+    P = Problem.from_rows(((1, 1, 0), (0, 0, 1), (0, 0, 1)))
     sol = h_rule(P, q=-1)
     assert sol.converged
     assert abs(float(utilities(P, sol.z).U[0]) - 1 / (1 + math.sqrt(2))) <= 1e-6
@@ -601,6 +603,20 @@ def test_hrule_rejects_bad_q():
         h_rule(EX3, q=0)
     with pytest.raises(ValueError):
         h_rule(EX3, q=1)
+
+
+@pytest.mark.parametrize("q", [F(-50), F(-1000), -F(10) ** 400, F(1, 10**400)])
+def test_hrule_refuses_q_beyond_float_range(q):
+    # float(q) overflows or is 0, or the powers U^(q-1) overflow in the solve
+    with pytest.raises(ValueError, match="q"):
+        h_rule(EX3, q=q)
+
+
+def test_hrule_ex3_moderate_q_unchanged():
+    sol = h_rule(EX3, q=F(-1, 2))
+    scale = 2**51
+    assert sol.z.z == (F(974648707459473, scale), 0, 0, F(1277151106225775, scale), 0)
+    assert (sol.iterations, sol.converged) == (159, True)
 
 
 # ---------------------------------------------------------------- evaluate
@@ -637,10 +653,10 @@ def test_rules_anonymity_and_neutrality():
         P = _random_problem(rng, max_n=5, max_m=4)
         rperm = list(range(P.n))
         rng.shuffle(rperm)
-        Pr = Problem(tuple(P.u[rperm[i]] for i in range(P.n)))
+        Pr = Problem.from_rows(tuple(P.u[rperm[i]] for i in range(P.n)))
         cperm = list(range(P.m))
         rng.shuffle(cperm)
-        Pc = Problem(tuple(tuple(row[cperm[a]] for a in range(P.m)) for row in P.u))
+        Pc = Problem.from_rows(tuple(tuple(row[cperm[a]] for a in range(P.m)) for row in P.u))
         for rid in rule_ids:
             U, z = evaluate(rid, P)
             Ur, zr = evaluate(rid, Pr)

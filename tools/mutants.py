@@ -77,6 +77,11 @@ MUTANTS = [
      "residual = max(residual, abs(g - n))",
      "residual = max(residual, g - n)",
      "tests/test_rules.py::test_kkt_residual_counts_a_deficit_on_a_supported_outcome"),
+    # NMP: no resume from the snapped class weights
+    ("src/fairmix/rules.py",
+     "if converged and residual > DEFAULT_NMP_TOL:",
+     "if False:",
+     "tests/test_rules.py::test_nmp_certifies_after_snapping"),
     # IFS: an agent exactly at 1/n fails
     ("src/fairmix/axioms.py",
      "    for i in range(P.n):\n        if U[i] < share:",
@@ -122,6 +127,16 @@ MUTANTS = [
      "if abs(U[i] - expected) > guard:",
      "if U[i] - expected > guard:",
      "tests/test_axioms.py::test_dec_witness_is_the_first_agent_off_its_block_share"),
+    # Problem: adjacent runs with one mask are not merged
+    ("src/fairmix/core.py",
+     "            if runs and runs[-1][1] == mask:",
+     "            if False:",
+     "tests/test_core.py::test_runs_agree_with_their_rows"),
+    # typed parser: a file of exactly MAX_TYPED_AGENTS agents is refused
+    ("src/fairmix/core.py",
+     "if P.n > MAX_TYPED_AGENTS:",
+     "if P.n >= MAX_TYPED_AGENTS:",
+     "tests/test_core.py::test_typed_agent_cap_is_inclusive"),
     # cut_bound: the cube root rounded down for n > 8 overstates the bound
     ("src/fairmix/generators.py",
      "c = _cbrt_rational(n, up=n > 8)",
