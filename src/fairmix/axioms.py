@@ -33,17 +33,18 @@ __all__ = [
     "format_verdict",
     "COALITION_MAX_TYPES",
     "SP_MAX_OUTCOMES",
-    "SP_MAX_AGENTS_EXACT",
+    "SP_MAX_TYPES_EXACT",
+    "tie_guard",
 ]
 
 COALITION_MAX_TYPES = 16
 SP_MAX_OUTCOMES = 6
-SP_MAX_AGENTS_EXACT = 8
+SP_MAX_TYPES_EXACT = 8
 
 _ZERO = Fraction(0)
 
 
-def _tie_guard(rule: rules.RuleId) -> Fraction:
+def tie_guard(rule: rules.RuleId) -> Fraction:
     """Ten times the solver tolerance the rule is evaluated at (numeric
     rules), or 0 (exact rules)."""
     return 10 * rules.DEFAULT_NMP_TOL if rules.is_numeric(rule) else _ZERO
@@ -279,15 +280,16 @@ def check_sp(rule: rules.RuleId, P: Problem, variant: SpVariant) -> AxiomVerdict
     """
     if P.m > SP_MAX_OUTCOMES:
         raise ValueError(f"check_sp is capped at m <= {SP_MAX_OUTCOMES}")
-    if not rules.is_numeric(rule) and P.n > SP_MAX_AGENTS_EXACT:
+    classes = P.clone_classes
+    if not rules.is_numeric(rule) and len(classes) > SP_MAX_TYPES_EXACT:
         raise ValueError(
-            f"check_sp for exact rules is capped at n <= {SP_MAX_AGENTS_EXACT}"
+            f"check_sp for exact rules is capped at {SP_MAX_TYPES_EXACT} agent types"
         )
     admits, consumed = _SP_VARIANTS[variant]
-    guard = _tie_guard(rule)
+    guard = tie_guard(rule)
     truthful_U, _ = rules.evaluate(rule, P)
     near_tie = None
-    for truth, (i, *_) in P.clone_classes:
+    for truth, (i, *_) in classes:
         for report in range(1, 1 << P.m):
             if report == truth or not admits(truth, report):
                 continue
@@ -327,16 +329,19 @@ def check_participation(
 
     An agent's utility without her own ballot is her utility, under her true
     like-set, at the rule's representative mixture on the problem with her
-    row removed.
+    row removed; the agents of one run all drop to the same problem, so a run
+    is judged once (a failure names its first agent, a near-tie its last).
     """
     if P.n < 2:
         raise ValueError("participation needs at least two agents")
-    guard = _tie_guard(rule)
+    guard = tie_guard(rule)
     U, _ = rules.evaluate(rule, P)
     near_tie = None
-    for i in range(P.n):
+    end = 0
+    for count, mask in P.entries:
+        i, end = end, end + count
         _, z_without = rules.evaluate(rule, P.drop_agent(i))
-        absent = z_without.weight_on(P.like_mask(i))
+        absent = z_without.weight_on(mask)
         witness = {
             "agent": i,
             "with_ballot": U[i],
@@ -347,7 +352,7 @@ def check_participation(
         if strict and absent < 1 - guard and U[i] <= absent + guard:
             if U[i] <= absent - guard:
                 return AxiomVerdict(passed=False, witness=witness)
-            near_tie = witness
+            near_tie = dict(witness, agent=end - 1)
     if near_tie is not None:
         return AxiomVerdict(passed=None, witness=near_tie)
     return AxiomVerdict(passed=True)
@@ -368,7 +373,7 @@ def check_dec(rule: rules.RuleId, P: Problem) -> AxiomVerdict:
     blocks = polarized_partition(P)
     if len(blocks) < 2:
         raise ValueError("no polarized structure: the problem is connected")
-    guard = _tie_guard(rule)
+    guard = tie_guard(rule)
     U, _ = rules.evaluate(rule, P)
     u = P.u
     for k, (agents, outcomes) in enumerate(blocks):

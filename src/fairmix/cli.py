@@ -16,6 +16,8 @@ Exit status: 0 success / axiom passes, 1 axiom fails (witness printed),
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import operator
 import sys
 from fractions import Fraction
 
@@ -61,7 +63,8 @@ def _add_problem_args(sub) -> None:
 
 
 def _add_rule_args(sub, required: bool) -> None:
-    sub.add_argument("--rule", required=required, help="util|egal|rp|cut|nmp|hrule")
+    kinds = "|".join(rules.RULE_KINDS).lower()
+    sub.add_argument("--rule", required=required, help=kinds)
     sub.add_argument("--q", help="exponent for hrule (rational, q<1, q!=0)")
 
 
@@ -74,41 +77,35 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-# Axioms of a utility profile and the mixture realizing it, by name; the
-# checkers are looked up when called, so a patched module attribute is used.
+def _miss(got, required="required"):
+    """How far a failing share verdict misses its bound, read from its witness."""
+    return lambda w: w[required] - w[got]
+
+
+_surplus = operator.itemgetter("surplus")
+
+# Axioms of a utility profile and the mixture realizing it, by name, each as
+# (checker, shortfall).  The checkers are looked up when called, so a patched
+# module attribute is used; AFS and CFS forgive a miss up to ``tol``.
 _SHARE_AXIOMS = {
-    "ifs": lambda P, U, z: axioms.check_ifs(P, U),
-    "ufs": lambda P, U, z: axioms.check_ufs(P, U),
-    "gfs": lambda P, U, z: axioms.check_gfs(P, U, z),
-    "afs": lambda P, U, z: axioms.check_afs(P, U),
-    "cfs": lambda P, U, z: axioms.check_cfs(P, U),
-    "eff": lambda P, U, z: core.is_efficient(P, U, source=z),
+    "eff": (lambda P, U, z, tol: core.is_efficient(P, U, source=z), _surplus),
+    "ifs": (lambda P, U, z, tol: axioms.check_ifs(P, U), _miss("utility")),
+    "ufs": (lambda P, U, z, tol: axioms.check_ufs(P, U), _miss("utility")),
+    "gfs": (lambda P, U, z, tol: axioms.check_gfs(P, U, z), _miss("pooled_weight")),
+    "afs": (
+        lambda P, U, z, tol: axioms.check_afs(P, U, tol),
+        _miss("total_utility", "required_total"),
+    ),
+    "cfs": (lambda P, U, z, tol: axioms.check_cfs(P, U, tol), _surplus),
 }
-# How far a failing share verdict misses its bound, read from its witness.
-_SHORTFALL = {
-    "ifs": lambda w: w["required"] - w["utility"],
-    "ufs": lambda w: w["required"] - w["utility"],
-    "gfs": lambda w: w["required"] - w["pooled_weight"],
-    "afs": lambda w: w["required_total"] - w["total_utility"],
-    "cfs": lambda w: w["surplus"],
-    "eff": lambda w: w["surplus"],
-}
-# Axioms of a rule other than the strategyproofness variants of ``SpVariant``.
+# Axioms of a rule: the strategyproofness variants, participation and DEC.
 _RULE_AXIOMS = {
+    v.value: lambda rule, P, v=v: axioms.check_sp(rule, P, v) for v in axioms.SpVariant
+} | {
     "part": lambda rule, P: axioms.check_participation(rule, P),
     "part*": lambda rule, P: axioms.check_participation(rule, P, strict=True),
     "dec": lambda rule, P: axioms.check_dec(rule, P),
 }
-
-
-def _rule_axiom(name: str):
-    if name in _RULE_AXIOMS:
-        return _RULE_AXIOMS[name]
-    try:
-        variant = axioms.SpVariant(name)
-    except ValueError:
-        raise ValueError(f"unknown axiom {name!r}") from None
-    return lambda rule, P: axioms.check_sp(rule, P, variant)
 
 
 def _cmd_check(args) -> int:
@@ -125,21 +122,23 @@ def _cmd_check(args) -> int:
         else:
             z = core.parse_mixture(args.mixture)
             U = core.utilities(P, z)
-        verdict = _SHARE_AXIOMS[axiom](P, U, z)
-        # a numeric rule's miss within the tie guard is rounding, not a failure
-        if (
-            rule is not None
-            and verdict.passed is False
-            and _SHORTFALL[axiom](verdict.witness) <= axioms._tie_guard(rule)
-        ):
-            verdict = core.AxiomVerdict(passed=None, witness=verdict.witness)
-    else:
-        check = _rule_axiom(axiom)
+        check, shortfall = _SHARE_AXIOMS[axiom]
+        verdict = check(P, U, z, 0)
+        # a numeric rule's miss within the tie guard is rounding, not a
+        # failure; AFS and CFS look past it for a miss beyond the guard
+        guard = 0 if rule is None else axioms.tie_guard(rule)
+        if verdict.passed is False and shortfall(verdict.witness) <= guard:
+            recheck = check(P, U, z, guard)
+            fails = recheck.passed is False and shortfall(recheck.witness) > guard
+            verdict = recheck if fails else core.AxiomVerdict(None, verdict.witness)
+    elif axiom in _RULE_AXIOMS:
         if rule is None:
             raise ValueError(f"--axiom {axiom} needs --rule")
         if args.mixture is not None:
             raise ValueError(f"--axiom {axiom} takes a rule, not --mixture")
-        verdict = check(rule, P)
+        verdict = _RULE_AXIOMS[axiom](rule, P)
+    else:
+        raise ValueError(f"unknown axiom {axiom!r}")
 
     print(axioms.format_verdict(axiom, "-" if rule is None else str(rule), verdict))
     return 1 if verdict.passed is False else 0
@@ -156,42 +155,32 @@ def _cmd_table(args) -> int:
         seed=args.seed,
         rules=tuple(rule_ids),
     )
-    csv = experiments.grid_to_csv(experiments.run_grid(grid))
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(csv)
+    return _write(experiments.grid_to_csv(experiments.run_grid(grid)), args.output)
+
+
+def _write(text: str, path) -> int:
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(csv)
+        sys.stdout.write(text)
     return 0
 
 
 def _cmd_construct(args) -> int:
     family = args.family
-    if family == "cut-worstcase":
-        if None in (args.n1, args.n2, args.p):
-            raise ValueError("cut-worstcase needs --n1 --n2 --p")
-        P = generators.cut_worstcase(
-            generators.CutWorstCaseParams(n1=args.n1, n2=args.n2, p=args.p)
-        )
-        text = core.format_problem(P)
-    elif family == "rp-worstcase":
-        if None in (args.k, args.d, args.ell):
-            raise ValueError("rp-worstcase needs --k --d --ell")
-        P = generators.rp_worstcase(
-            generators.RpWorstCaseParams(k=args.k, d=args.d, ell=args.ell)
-        )
-        text = core.format_problem(P)
+    if family in generators.WORST_CASE_FAMILIES:
+        params, build = generators.WORST_CASE_FAMILIES[family]
+        values = {f.name: getattr(args, f.name) for f in dataclasses.fields(params)}
+        if None in values.values():
+            raise ValueError(f"{family} needs " + " ".join(f"--{x}" for x in values))
+        text = core.format_problem(build(params(**values)))
     elif family in generators.APPENDIX_FAMILIES:
         build = generators.APPENDIX_FAMILIES[family]
         text = core.format_typed_profile(build(args.misreport))
     else:
         raise ValueError(f"unknown family {family!r}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _write(text, args.output)
 
 
 def _verify_36() -> bool:
@@ -236,16 +225,12 @@ def _verify_sp0() -> bool:
     return ok
 
 
+_VERIFIERS = {"36": _verify_36, "860": _verify_860, "sp0": _verify_sp0}
+
+
 def _cmd_verify_appendix(args) -> int:
-    which = args.which
-    ok = True
-    if which in ("36", "all"):
-        ok &= _verify_36()
-    if which in ("860", "all"):
-        ok &= _verify_860()
-    if which in ("sp0", "all"):
-        ok &= _verify_sp0()
-    return 0 if ok else 1
+    oks = [verify() for w, verify in _VERIFIERS.items() if args.which in (w, "all")]
+    return 0 if all(oks) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,11 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("check", help="check an axiom for a rule or mixture")
     _add_problem_args(s)
     _add_rule_args(s, required=False)
-    s.add_argument(
-        "--axiom",
-        required=True,
-        help="eff|ifs|ufs|gfs|afs|cfs|sp|sp+|sp-|sp*|exsp|part|part*|dec",
-    )
+    names = "|".join([*_SHARE_AXIOMS, *_RULE_AXIOMS])
+    s.add_argument("--axiom", required=True, help=names)
     s.add_argument("--mixture", help="check this mixture instead of a rule output")
     s.set_defaults(func=_cmd_check)
 
@@ -283,23 +265,17 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_table)
 
     s = subs.add_parser("construct", help="emit a generated instance")
-    s.add_argument(
-        "--family",
-        required=True,
-        help="cut-worstcase|rp-worstcase|appendix36|appendix860|sp0",
-    )
-    s.add_argument("--n1", type=int)
-    s.add_argument("--n2", type=int)
-    s.add_argument("--p", type=int)
-    s.add_argument("--k", type=int)
-    s.add_argument("--d", type=int)
-    s.add_argument("--ell", type=int)
+    names = "|".join([*generators.WORST_CASE_FAMILIES, *generators.APPENDIX_FAMILIES])
+    s.add_argument("--family", required=True, help=names)
+    for params, _ in generators.WORST_CASE_FAMILIES.values():
+        for field in dataclasses.fields(params):
+            s.add_argument(f"--{field.name}", type=int)
     s.add_argument("--misreport", action="store_true")
     s.add_argument("--output", help="output file (default: stdout)")
     s.set_defaults(func=_cmd_construct)
 
     s = subs.add_parser("verify-appendix", help="certify the large constructions")
-    s.add_argument("--which", default="all", choices=["36", "860", "sp0", "all"])
+    s.add_argument("--which", default="all", choices=[*_VERIFIERS, "all"])
     s.set_defaults(func=_cmd_verify_appendix)
 
     return parser

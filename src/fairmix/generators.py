@@ -30,6 +30,7 @@ __all__ = [
     "appendix_860",
     "appendix_sp0",
     "APPENDIX_FAMILIES",
+    "WORST_CASE_FAMILIES",
     "APPENDIX_860_Z",
     "APPENDIX_860_Z_MISREPORT",
     "SP0_Z_REPORTED",
@@ -207,6 +208,13 @@ def rp_worstcase(params: RpWorstCaseParams) -> Problem:
                 row[d + c] = 1
         rows.append(tuple(row))
     return Problem.from_rows(tuple(rows))
+
+
+# the worst-case families by name, each as (parameter class, builder)
+WORST_CASE_FAMILIES = {
+    "cut-worstcase": (CutWorstCaseParams, cut_worstcase),
+    "rp-worstcase": (RpWorstCaseParams, rp_worstcase),
+}
 
 
 def _cbrt_rational(n: int, up: bool, digits: int = 9) -> Fraction:

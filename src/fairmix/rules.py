@@ -35,6 +35,7 @@ from .core import Mixture, Problem, utilities
 
 __all__ = [
     "RuleId",
+    "RULE_KINDS",
     "UTIL",
     "EGAL",
     "RP",
@@ -62,21 +63,22 @@ RP_STEP_BUDGET = 10 * 2**10
 DEFAULT_NMP_TOL = Fraction(1, 10**9)
 _ITERATION_CAP = 10**6
 _SNAP = 1e-13  # numeric coordinates below this are treated as exact zeros
+RULE_KINDS = ("UTIL", "EGAL", "RP", "CUT", "NMP", "HRULE")
 
 
 @dataclass(frozen=True)
 class RuleId:
     """Identifier of a mixing rule, usable as a cache key.
 
-    ``kind`` is one of UTIL, EGAL, RP, CUT, NMP, HRULE.  HRULE carries its
-    exponent ``q``, and no other kind takes one.
+    ``kind`` is one of ``RULE_KINDS``.  HRULE carries its exponent ``q``,
+    and no other kind takes one.
     """
 
     kind: str
     q: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in {"UTIL", "EGAL", "RP", "CUT", "NMP", "HRULE"}:
+        if self.kind not in RULE_KINDS:
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.kind == "HRULE":
             if self.q is None:
@@ -717,6 +719,10 @@ def evaluate(rule: RuleId, P: Problem):
         return utilities(P, sol.z), sol.z
     if rule.kind == "HRULE":
         sol = h_rule(P, rule.q)
+        if not sol.converged:  # no certificate, unlike NMP's KKT residual
+            raise ValueError(
+                f"hrule q={rule.q} did not converge in {sol.iterations} iterations"
+            )
         return utilities(P, sol.z), sol.z
     raise ValueError(f"unknown rule {rule}")  # pragma: no cover
 

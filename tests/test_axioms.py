@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -419,9 +421,19 @@ def test_sp_size_refusals():
     wide = Problem.from_rows((tuple([1] * 7),))
     with pytest.raises(ValueError):
         check_sp(rules.CUT, wide, SpVariant.SP)
-    tall = Problem.from_rows(tuple((1, 0) for _ in range(9)))
-    with pytest.raises(ValueError):
+    # the exact-rule cap counts agent types: nine distinct like-sets
+    tall = Problem(4, tuple((1, mask) for mask in range(1, 10)))
+    with pytest.raises(ValueError, match="8 agent types"):
         check_sp(rules.CUT, tall, SpVariant.SP)
+
+
+def test_sp_accepts_many_agents_of_few_types():
+    clones = Problem.from_rows(tuple((1, 0) for _ in range(9)))
+    assert check_sp(rules.CUT, clones, SpVariant.SP).passed is True
+    # 20 agents of 5 types, four of each
+    masks = (0b00011, 0b00110, 0b01100, 0b11000, 0b10001)
+    P = Problem(5, tuple((4, mask) for mask in masks))
+    assert check_sp(rules.EGAL, P, SpVariant.EXSP).passed is True
 
 
 # ---------------------------------------------------------------- PART
@@ -446,6 +458,54 @@ def test_participation_strict_egal_fails_with_clone():
     verdict = check_participation(rules.EGAL, P, strict=True)
     assert verdict.passed is False
     assert verdict.witness["with_ballot"] == verdict.witness["without_ballot"]
+
+
+def test_participation_on_long_runs_is_fast():
+    # one rule evaluation per run, not per agent
+    P = Problem(3, ((4000, 0b011), (4000, 0b110)))
+    start = time.perf_counter()
+    assert check_participation(rules.CUT, P, strict=True).passed is True
+    assert time.perf_counter() - start < 2
+
+
+def _participation_by_agent(rule, P, strict):
+    """Participation judged agent by agent, each dropped on its own."""
+    guard = axioms.tie_guard(rule)
+    U, _ = rules.evaluate(rule, P)
+    near_tie = None
+    for i in range(P.n):
+        _, z = rules.evaluate(rule, P.drop_agent(i))
+        absent = z.weight_on(P.like_mask(i))
+        witness = {"agent": i, "with_ballot": U[i], "without_ballot": absent}
+        if U[i] < absent - guard:
+            return False, witness
+        if strict and absent < 1 - guard and U[i] <= absent + guard:
+            if U[i] <= absent - guard:
+                return False, witness
+            near_tie = witness
+    return (True, None) if near_tie is None else (None, near_tie)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda m: st.lists(
+            st.tuples(st.integers(1, 3), st.integers(1, (1 << m) - 1)),
+            min_size=1,
+            max_size=4,
+        ).map(lambda runs: Problem(m, tuple(runs)))
+    ).filter(lambda P: P.n >= 2),
+    st.sampled_from([rules.UTIL, rules.CUT, rules.EGAL, rules.NMP]),
+    st.booleans(),
+    st.sampled_from([None, F(1, 100)]),
+)
+def test_participation_matches_agent_by_agent_oracle(P, rule, strict, guard):
+    # a wide guard turns the exact ties of clones into near-ties
+    tie_guard = axioms.tie_guard if guard is None else lambda rule: guard
+    with mock.patch.object(axioms, "tie_guard", tie_guard):
+        verdict = check_participation(rule, P, strict=strict)
+        expected = _participation_by_agent(rule, P, strict)
+    assert (verdict.passed, verdict.witness) == expected
 
 
 def test_participation_needs_two_agents():

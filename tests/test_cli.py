@@ -135,6 +135,24 @@ def test_check_numeric_rule_within_tie_guard_is_inconclusive(capsys, tmp_path, a
     assert "result=inconclusive" in out and "witness=[" in out
 
 
+@pytest.mark.parametrize("text, q, coalition", [
+    # impartial_culture(5, 4, 189): coalition (4) misses by about 2e-17,
+    # inside the tie guard, but (3 4) misses its 4/5 by about 1/10
+    ("5 4\n0001\n0111\n0011\n1010\n1100\n", "1/2", "(3 4)"),
+    # impartial_culture(6, 4, 207) and (6, 3, 341)
+    ("6 4\n1001\n1101\n1101\n0101\n0111\n0010\n", "-1", "(0 1 2 3 4)"),
+    ("6 3\n101\n110\n101\n010\n100\n100\n", "-1", "(0 1 2 4 5)"),
+])
+def test_check_afs_failure_beyond_a_near_tie_is_a_failure(capsys, tmp_path, text, q,
+                                                          coalition):
+    path = tmp_path / "ic.prob"
+    path.write_text(text)
+    code, out, _ = run(capsys, "check", str(path), "--axiom", "afs", "--rule",
+                       "hrule", f"--q={q}")
+    assert code == 1
+    assert "result=fail" in out and f"coalition={coalition}," in out
+
+
 def test_check_sp_star_egal(capsys):
     code, out, _ = run(capsys, "check", "--axiom", "sp*", "--rule", "egal",
                        "--fixture", "egal-true")
@@ -265,6 +283,16 @@ def test_construct_missing_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family, message", [
+    ("cut-worstcase", "cut-worstcase needs --n1 --n2 --p"),
+    ("rp-worstcase", "rp-worstcase needs --k --d --ell"),
+])
+def test_construct_missing_params_names_them(capsys, family, message):
+    code, out, err = run(capsys, "construct", "--family", family, "--n1", "5",
+                         "--k", "3")
+    assert code == 2 and out == "" and err == f"error: {message}\n"
+
+
 def test_construct_unknown_family(capsys):
     code, _, err = run(capsys, "construct", "--family", "bogus")
     assert code == 2
@@ -363,6 +391,19 @@ def test_hrule_without_q_is_a_usage_error(capsys):
 def test_hrule_q_beyond_float_range_is_an_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--fixture", "ex3", "--rule"),
+    ("check", "--fixture", "ex3", "--axiom", "ifs", "--rule"),
+])
+def test_unconverged_hrule_is_an_input_error(capsys, monkeypatch, command):
+    # q = -5 on ex3 needs more iterations than the lowered cap
+    monkeypatch.setattr(rules, "_ITERATION_CAP", 300)
+    rules.evaluate.cache_clear()
+    code, out, err = run(capsys, *command, "hrule", "--q=-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: hrule q=-5 did not converge in 300 iterations")
 
 
 @pytest.mark.parametrize("rule", ["util", "cut", "egal", "rp"])

@@ -5,8 +5,7 @@ changed no rule output, verdict, witness or printed text:
 
     PYTHONPATH=src python tools/identity.py
 
-It prints the record count and the sha256.  The corpus, 13,510 records
-and about 30 s on one core:
+It prints the record count and the sha256.  The corpus:
 
 - ``impartial_culture(2 + s % 6, 2 + (s // 6) % 4, 31000 + s)`` for
   s = 0 .. 239, plus every named fixture other than the two appendix860
@@ -21,6 +20,12 @@ and about 30 s on one core:
 - Stdout and exit code of ``verify-appendix``; ``construct`` for sp0 with
   and without ``--misreport``, for appendix36 with ``--misreport`` and for
   appendix860; and ``solve --rule egal --fixture appendix36-misreport``.
+- Stdout, stderr and exit status of further commands (``CLI_SURFACE``):
+  the worst-case families with all, some and invalid options; every axiom
+  name under each rule on five fixtures and three files, with a mixture,
+  and in the usage errors of ``check``; each ``verify-appendix --which``;
+  the ``--help`` of the program and of each subcommand, at 80 columns; and
+  a small ``table``.
 
 Only the public API is used, so the script runs unchanged on older trees.
 """
@@ -30,7 +35,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
+import tempfile
 from fractions import Fraction
 
 from fairmix import axioms, cli, core, experiments, generators, rules
@@ -53,6 +60,75 @@ def _cli(argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+def _cli_full(argv):
+    """Exit status, stdout and stderr of one command, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+AXIOMS = ("eff", "ifs", "ufs", "gfs", "afs", "cfs", "sp", "sp+", "sp-", "sp*",
+          "exsp", "part", "part*", "dec")
+RULE_ARGS = (("util",), ("egal",), ("rp",), ("cut",), ("nmp",),
+             ("hrule", "--q", "1/2"), ("hrule", "--q=-1"))
+PROFILE_FILES = {
+    # impartial_culture(5, 4, 1135): NMP misses IFS by 4.4e-17
+    "ic1135": "5 4\n1001\n0001\n1100\n0010\n0101\n",
+    # impartial_culture(5, 4, 189) and (6, 4, 207): the h-rules' AFS misses
+    "ic189": "5 4\n0001\n0111\n0011\n1010\n1100\n",
+    "ic207": "6 4\n1001\n1101\n1101\n0101\n0111\n0010\n",
+}
+
+
+def cli_surface(tmp):
+    """The argument lists of the command-line records."""
+    for argv in (
+        ["--n1", "5", "--n2", "5", "--p", "4"],
+        ["--n1", "4", "--n2", "6", "--p", "3", "--misreport"],
+        ["--n1", "5", "--n2", "5"],
+        ["--n1", "5", "--n2", "5", "--p", "9"],
+        ["--k", "3", "--d", "2", "--ell", "2"],
+        ["--k", "4", "--d", "2", "--ell", "3"],
+        ["--k", "3", "--ell", "2"],
+        ["--k", "3", "--d", "2", "--ell", "3"],
+        [],
+    ):
+        for family in ("cut-worstcase", "rp-worstcase", "bogus"):
+            yield ["construct", "--family", family] + argv
+    inputs = [["--fixture", f] for f in ("ex3", "egal-true", "dec-m", "afs-example",
+                                         "cfs-example")]
+    for name, text in PROFILE_FILES.items():
+        path = os.path.join(tmp, name + ".prob")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        inputs.append([path])
+    for source in inputs:
+        for axiom in AXIOMS:
+            for rule in RULE_ARGS:
+                yield ["check", *source, "--axiom", axiom, "--rule", *rule]
+    for axiom in AXIOMS + ("bogus", "SP+", "Part*"):
+        yield ["check", "--fixture", "ex3", "--axiom", axiom, "--mixture",
+               "1/5 1/5 1/5 1/5 1/5"]
+        yield ["check", "--fixture", "ex3", "--axiom", axiom, "--mixture", "0 0 0 1 0"]
+        yield ["check", "--fixture", "ex3", "--axiom", axiom]
+        yield ["check", "--fixture", "ex3", "--axiom", axiom, "--rule", "cut",
+               "--mixture", "0 0 0 1 0"]
+        yield ["check", "--fixture", "ex3", "--axiom", axiom, "--rule", "cut",
+               "--q", "1/2"]
+        yield ["check", "--fixture", "ex3", "--axiom", axiom, "--rule", "bogus"]
+    for which in ("36", "860", "sp0", "all", "bogus"):
+        yield ["verify-appendix", "--which", which]
+    for command in ([], ["solve"], ["check"], ["table"], ["construct"],
+                    ["verify-appendix"]):
+        yield command + ["--help"]
+    yield ["table", "--agents", "3,4", "--outcomes", "3", "--draws", "2", "--seed",
+           "5", "--rules", "util,egal,rp,cut,nmp,hrule", "--q", "1/2"]
 
 
 def _problems():
@@ -113,6 +189,10 @@ def records():
         ["solve", "--rule", "egal", "--fixture", "appendix36-misreport"],
     ):
         yield tuple(argv), _cli(argv)
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in cli_surface(tmp):
+            yield tuple(arg.replace(tmp, "TMP") for arg in argv), _cli_full(argv)
 
 
 def main() -> int:

@@ -122,6 +122,16 @@ MUTANTS = [
      "            if U[i] <= absent - guard:",
      "            if U[i] < absent - guard:",
      "tests/test_axioms.py::test_participation_strict_egal_fails_with_clone"),
+    # participation: a near-tie names the run's first agent, not its last
+    ("src/fairmix/axioms.py",
+     "near_tie = dict(witness, agent=end - 1)",
+     "near_tie = witness",
+     "tests/test_axioms.py::test_participation_matches_agent_by_agent_oracle"),
+    # SP: the exact-rule cap counts agents again instead of agent types
+    ("src/fairmix/axioms.py",
+     "len(classes) > SP_MAX_TYPES_EXACT",
+     "P.n > SP_MAX_TYPES_EXACT",
+     "tests/test_axioms.py::test_sp_accepts_many_agents_of_few_types"),
     # DEC: only utilities above the block share count as violations
     ("src/fairmix/axioms.py",
      "if abs(U[i] - expected) > guard:",
@@ -137,6 +147,21 @@ MUTANTS = [
      "if P.n > MAX_TYPED_AGENTS:",
      "if P.n >= MAX_TYPED_AGENTS:",
      "tests/test_core.py::test_typed_agent_cap_is_inclusive"),
+    # HRULE: a solve that hit the iteration cap is returned as the rule's
+    ("src/fairmix/rules.py",
+     "        if not sol.converged:",
+     "        if False:",
+     "tests/test_cli.py::test_unconverged_hrule_is_an_input_error"),
+    # check: a miss within the tie guard is never re-judged with tol = guard
+    ("src/fairmix/cli.py",
+     "recheck = check(P, U, z, guard)",
+     "recheck = verdict",
+     "tests/test_cli.py::test_check_afs_failure_beyond_a_near_tie_is_a_failure"),
+    # construct: a worst-case family built with options missing
+    ("src/fairmix/cli.py",
+     "if None in values.values():",
+     "if False:",
+     "tests/test_cli.py::test_construct_missing_params_names_them"),
     # cut_bound: the cube root rounded down for n > 8 overstates the bound
     ("src/fairmix/generators.py",
      "c = _cbrt_rational(n, up=n > 8)",
