@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fairmix import lp
@@ -230,3 +230,172 @@ def test_linear_program_refuses_le_rows_and_negative_rhs():
         lp.LinearProgram(objective=(1,), constraints=(((1,), lp.GE, -1),))
     with pytest.raises(ValueError, match="negative right-hand side"):
         lp.LinearProgram(objective=(1,), constraints=(((-1,), lp.EQ, Fraction(-1, 2)),))
+
+
+def test_cleanup_pivot_on_a_negative_entry():
+    # the row 0 * x >= 0 leaves its artificial basic after phase 1; the
+    # clean-up pivots it out on the surplus column, whose entry is -1
+    out = _solve((Fraction(-2),), [((Fraction(0),), lp.GE, Fraction(0))])
+    assert out == lp.LpOutcome("optimal", Fraction(0), (Fraction(0),), (Fraction(0),))
+    assert _solve((Fraction(2),), [((Fraction(0),), lp.GE, Fraction(0))]).status == "unbounded"
+
+
+# ---------------------------------------------------------------------------
+# Reference oracle: a dense two-phase Bland simplex and Gauss-Jordan solve
+# in Fraction arithmetic, one Fraction per tableau entry.  lp's integer
+# tableau must make the same pivots and so return the same outcomes.
+
+
+def _ref_pivot(rows, leave, enter):
+    row = rows[leave]
+    inv = 1 / row[enter]
+    rows[leave] = row = [x * inv for x in row]
+    for i, other in enumerate(rows):
+        f = other[enter]
+        if i != leave and f:
+            rows[i] = [x - f * y for x, y in zip(other, row)]
+
+
+def _ref_price(rows, basis, cost):
+    for i, b in enumerate(basis):
+        f = cost[b]
+        if f:
+            cost = [x - f * y for x, y in zip(cost, rows[i])]
+    rows.append(cost)
+
+
+def _ref_simplex(rows, basis):
+    rhs = len(rows[-1]) - 1
+    while True:
+        enter = next((j for j in range(rhs) if rows[-1][j] > 0), None)
+        if enter is None:
+            return "optimal"
+        leave = best = None
+        for i, b in enumerate(basis):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][rhs] / a
+                if best is None or ratio < best or (ratio == best and b < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return "unbounded"
+        _ref_pivot(rows, leave, enter)
+        basis[leave] = enter
+
+
+def _ref_solve_lp(prog):
+    F = Fraction
+    nvar, nrow = len(prog.objective), len(prog.constraints)
+    nslack = sum(rel == lp.GE for _, rel, _ in prog.constraints)
+    real = nvar + nslack
+    rows, basis = [], list(range(real, real + nrow))
+    slack = nvar
+    for (row, rel, rhs), art in zip(prog.constraints, basis):
+        line = [F(x) for x in row] + [F(0)] * (nslack + nrow) + [F(rhs)]
+        if rel == lp.GE:
+            line[slack] = F(-1)
+            slack += 1
+        line[art] = F(1)
+        rows.append(line)
+    _ref_price(rows, basis, [F(0)] * real + [F(-1)] * nrow + [F(0)])
+    _ref_simplex(rows, basis)
+    if rows.pop()[-1] != 0:
+        return lp.LpOutcome(status="infeasible")
+    for i, b in enumerate(basis):
+        if b >= real:
+            enter = next((j for j in range(real) if rows[i][j] != 0), None)
+            if enter is not None:
+                _ref_pivot(rows, i, enter)
+                basis[i] = enter
+    keep = [i for i, b in enumerate(basis) if b < real]
+    rows = [rows[i][:real] + rows[i][-1:] for i in keep]
+    basis = [basis[i] for i in keep]
+    _ref_price(rows, basis, [F(c) for c in prog.objective] + [F(0)] * (nslack + 1))
+    if _ref_simplex(rows, basis) == "unbounded":
+        return lp.LpOutcome(status="unbounded")
+    solution = [F(0)] * nvar
+    for i, b in enumerate(basis):
+        if b < nvar:
+            solution[b] = rows[i][-1]
+    costs = iter(rows[-1][nvar:real])
+    duals = tuple(None if rel == lp.EQ else next(costs) for _, rel, _ in prog.constraints)
+    return lp.LpOutcome("optimal", -rows[-1][-1], tuple(solution), duals)
+
+
+def _ref_solve_linear(rows, rhs):
+    work = [[Fraction(x) for x in r] + [Fraction(v)] for r, v in zip(rows, rhs)]
+    pivots = {}
+    for i in range(len(work)):
+        c = next((j for j, x in enumerate(work[i][:-1]) if x), None)
+        if c is not None:
+            _ref_pivot(work, i, c)
+            pivots[c] = i
+        elif work[i][-1]:
+            raise ValueError("inconsistent linear system")
+    return [work[pivots[c]][-1] if c in pivots else Fraction(0) for c in range(len(rows[0]))]
+
+
+def _outcome(solve, *args):
+    try:
+        return repr(solve(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_SIGNED = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def _redundant_lps(draw):
+    """Small LPs whose extra rows are positive multiples or sums of earlier
+    ones, so that phase 1 can end with an artificial basic at 0 and the
+    clean-up pivots on a negative entry."""
+    nv = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("new", "new", "scaled", "sum"))) if rows else "new"
+        rel = draw(st.sampled_from((lp.EQ, lp.GE)))
+        if kind == "new":
+            row = tuple(draw(st.lists(_SIGNED, min_size=nv, max_size=nv)))
+            rhs = draw(st.fractions(min_value=0, max_value=4, max_denominator=3))
+        elif kind == "scaled":
+            k = draw(st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3))
+            base, _, b = draw(st.sampled_from(rows))
+            row, rhs = tuple(k * x for x in base), k * b
+        else:
+            (r1, _, b1), (r2, _, b2) = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            row, rhs = tuple(x + y for x, y in zip(r1, r2)), b1 + b2
+        rows.append((row, rel, rhs))
+    objective = tuple(draw(st.lists(_SIGNED, min_size=nv, max_size=nv)))
+    return lp.LinearProgram(objective, tuple(rows))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_redundant_lps())
+# a tie in the ratio test that the basis index decides: the ">=" row's dual
+# is 0 on Bland's path, and -1 if the tie goes to the first row instead
+@example(lp.LinearProgram((-1, 0), (((0, 1), lp.EQ, 1), ((1, 1), lp.GE, 1))))
+def test_solve_lp_matches_the_fraction_reference(prog):
+    assert repr(lp.solve_lp(prog)) == _outcome(_ref_solve_lp, prog)
+
+
+@st.composite
+def _rank_deficient_systems(draw):
+    ncol = draw(st.integers(1, 5))
+    entries = st.integers(-3, 3)
+    rows = [draw(st.lists(entries, min_size=ncol, max_size=ncol))
+            for _ in range(draw(st.integers(1, 4)))]
+    rhs = [draw(_SIGNED) for _ in rows]
+    for _ in range(draw(st.integers(0, 2))):  # dependent rows, consistent or not
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        a, b = draw(entries), draw(entries)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+        rhs.append(a * rhs[i] + b * rhs[j] + draw(st.sampled_from((0, 0, Fraction(1, 2)))))
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rank_deficient_systems())
+def test_solve_linear_matches_the_fraction_reference(system):
+    rows, rhs = system
+    assert _outcome(lp.solve_linear, rows, rhs) == _outcome(_ref_solve_linear, rows, rhs)

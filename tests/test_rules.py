@@ -304,6 +304,22 @@ def test_egal_solves_at_most_one_lp_per_type(monkeypatch):
         assert 1 <= len(calls) <= len(P.types)
 
 
+def test_egal_lp_work_on_criterion_08_seed_0_is_pinned(monkeypatch):
+    # Bland's rule fixes every pivot, so these counts move only if the pivot
+    # sequence does: a change to lp's arithmetic must leave them as they are
+    counts = dict.fromkeys(("_pivot", "solve_lp", "solve_linear"), 0)
+    for name in counts:
+        def counting(*args, name=name, inner=getattr(lp, name)):
+            counts[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(lp, name, counting)
+    for n in (3, 5, 7):
+        for m in (3, 5):
+            for k in range(100):
+                egal_rule(experiments.impartial_culture(n, m, experiments._subseed(0, n, m, k)))
+    assert counts == {"_pivot": 16836, "solve_lp": 1812, "solve_linear": 1394}
+
+
 def _float_leximin(P):
     """Independent leximin over the per-agent matrix in floating point:
     HiGHS round LPs, then one probe LP per agent left at the floor."""

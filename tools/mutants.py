@@ -34,8 +34,8 @@ settings.register_profile("mutants", phases=[Phase.explicit, Phase.generate])
 MUTANTS = [
     # lp: a ">=" row gets a "<=" slack
     ("src/fairmix/lp.py",
-     "line[slack] = Fraction(-1)",
-     "line[slack] = Fraction(1)",
+     "line[slack] = -d",
+     "line[slack] = d",
      "tests/test_lp.py::test_optimal_solution_satisfies_constraints_exactly"),
     # lp: phase 1 never reports infeasibility
     ("src/fairmix/lp.py",
@@ -47,6 +47,16 @@ MUTANTS = [
      "None if rel == EQ else next(costs) for",
      "None if rel == EQ else -next(costs) for",
      "tests/test_lp.py::test_strong_duality_spot_check"),
+    # lp: a negative pivot leaves the common denominator negative
+    ("src/fairmix/lp.py",
+     "    if p < 0:\n        rows[:] =",
+     "    if False:\n        rows[:] =",
+     "tests/test_lp.py::test_cleanup_pivot_on_a_negative_entry"),
+    # lp: Bland's ratio test ignores the basis index on a tie
+    ("src/fairmix/lp.py",
+     "if gap < 0 or (gap == 0 and b < basis[leave]):",
+     "if gap < 0:",
+     "tests/test_lp.py::test_solve_lp_matches_the_fraction_reference"),
     # EGAL: every floor dual is <= 0, so this freezes zero-dual types too
     ("src/fairmix/rules.py",
      "zip(unfrozen, out.duals[1:]) if y != 0]",
