@@ -4,10 +4,10 @@ decentralization properties.
 Every checker returns an :class:`~fairmix.core.AxiomVerdict`.  A failing
 verdict carries a machine-checkable witness: the coalition, the misreport,
 or the improving mixture, with both sides of the violated inequality as
-exact rationals.  Checkers for numeric rules (NMP, h-rules) apply a tie
-guard: a deviation only counts as profitable when the gain exceeds ten times
-the solver tolerance, and near-ties come back as inconclusive (``passed is
-None``) instead of a verdict.
+exact rationals.  Numeric rules (NMP, h-rules) have a tie guard
+(``tie_guard``).  ``judge`` weighs each share axiom's misses (``SHARE_AXIOMS``)
+against it, SP and participation report near-ties within it as inconclusive
+(``passed is None``), and DEC passes a deviation within it.
 """
 
 from __future__ import annotations
@@ -15,13 +15,15 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 
-from . import rules
+from . import core, rules
 from .core import AxiomVerdict, Mixture, Problem, UtilityProfile, format_rational
 from .core import mask_outcomes, mask_row, require_profile_size, surplus_lp, utilities
 
 __all__ = [
     "SpVariant",
     "polarized_partition",
+    "judge",
+    "SHARE_AXIOMS",
     "check_ifs",
     "check_ufs",
     "check_gfs",
@@ -45,8 +47,8 @@ _ZERO = Fraction(0)
 
 
 def tie_guard(rule: rules.RuleId) -> Fraction:
-    """Ten times the solver tolerance the rule is evaluated at (numeric
-    rules), or 0 (exact rules)."""
+    """Ten times the residual the rule's solver stops at (numeric rules), or
+    0 (exact rules)."""
     return 10 * rules.DEFAULT_NMP_TOL if rules.is_numeric(rule) else _ZERO
 
 
@@ -94,39 +96,61 @@ def polarized_partition(P: Problem) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# share axioms
+# share axioms: each is a generator of (miss, witness) pairs, in checking
+# order and every miss > 0, and ``judge`` alone turns one into a verdict
 
 
-def check_ifs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
-    """Individual fair share: every agent gets at least 1/n."""
+def judge(violations, guard: Fraction = _ZERO) -> AxiomVerdict:
+    """The first miss above ``guard`` fails; otherwise the first miss at all
+    is inconclusive (a numeric rule's rounding), and no miss passes.  Both
+    verdicts carry that miss's witness; ``guard`` 0 is the exact verdict."""
+    first = None
+    for miss, witness in violations:
+        if miss > guard:
+            return AxiomVerdict(passed=False, witness=witness)
+        if first is None:
+            first = witness
+    if first is None:
+        return AxiomVerdict(passed=True)
+    return AxiomVerdict(passed=None, witness=first)
+
+
+def _eff_misses(P: Problem, U: UtilityProfile, z: Mixture):
+    verdict = core.is_efficient(P, U, source=z)
+    if verdict.passed is False:
+        yield verdict.witness["surplus"], verdict.witness
+
+
+def _ifs_misses(P: Problem, U: UtilityProfile, z=None):
     require_profile_size(P, U)
     share = Fraction(1, P.n)
     for i in range(P.n):
         if U[i] < share:
-            return AxiomVerdict(
-                passed=False,
-                witness={"agent": i, "utility": U[i], "required": share},
-            )
-    return AxiomVerdict(passed=True)
+            yield share - U[i], {"agent": i, "utility": U[i], "required": share}
 
 
-def check_ufs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
-    """Unanimity fair share: s identical agents each get at least s/n."""
+def check_ifs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
+    """Individual fair share: every agent gets at least 1/n."""
+    return judge(_ifs_misses(P, U))
+
+
+def _ufs_misses(P: Problem, U: UtilityProfile, z=None):
     require_profile_size(P, U)
     for _, members in P.clone_classes:
         share = Fraction(len(members), P.n)
         for i in members:
             if U[i] < share:
-                return AxiomVerdict(
-                    passed=False,
-                    witness={
-                        "agent": i,
-                        "clone_class": members,
-                        "utility": U[i],
-                        "required": share,
-                    },
-                )
-    return AxiomVerdict(passed=True)
+                yield share - U[i], {
+                    "agent": i,
+                    "clone_class": members,
+                    "utility": U[i],
+                    "required": share,
+                }
+
+
+def check_ufs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
+    """Unanimity fair share: s identical agents each get at least s/n."""
+    return judge(_ufs_misses(P, U))
 
 
 def _clone_closed_coalitions(P: Problem) -> list:
@@ -155,13 +179,7 @@ def _members(coalition: tuple) -> tuple:
     return tuple(sorted(i for _, agents in coalition for i in agents))
 
 
-def check_gfs(P: Problem, U: UtilityProfile, z: Mixture) -> AxiomVerdict:
-    """Group fair share: the pooled like-set of S carries weight >= |S|/n.
-
-    Adding a member's clones to S keeps its pooled like-set and raises |S|,
-    so S violates GFS only if its clone closure does: the clone-closed
-    coalitions, 2^k - 1 for k agent types, decide the verdict.
-    """
+def _gfs_misses(P: Problem, U: UtilityProfile, z: Mixture):
     coalitions = _clone_closed_coalitions(P)
     if utilities(P, z) != U:
         raise ValueError("mixture does not realize the supplied utilities")
@@ -172,28 +190,25 @@ def check_gfs(P: Problem, U: UtilityProfile, z: Mixture) -> AxiomVerdict:
         weight = z.weight_on(pooled)
         share = Fraction(size, P.n)
         if weight < share:
-            return AxiomVerdict(
-                passed=False,
-                witness={
-                    "coalition": _members(coalition),
-                    "pooled_weight": weight,
-                    "required": share,
-                },
-            )
-    return AxiomVerdict(passed=True)
+            yield share - weight, {
+                "coalition": _members(coalition),
+                "pooled_weight": weight,
+                "required": share,
+            }
 
 
-def check_afs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerdict:
-    """Average fair share for coalitions with a commonly liked outcome.
+def check_gfs(P: Problem, U: UtilityProfile, z: Mixture) -> AxiomVerdict:
+    """Group fair share: the pooled like-set of S carries weight >= |S|/n.
 
-    Such a coalition lies inside N_a, the agents who like some outcome a, and
-    of the s-agent coalitions inside N_a the s smallest utilities have the
-    least total.  So AFS holds iff, for every a and s, those s utilities sum
-    to at least s^2/n (less ``tol``): one sort per outcome, with no cap.  A
-    failure reports the first such s-agent coalition, by outcome, then s.
+    Adding a member's clones to S keeps its pooled like-set and raises |S|,
+    so S violates GFS only if its clone closure does: the clone-closed
+    coalitions, 2^k - 1 for k agent types, decide the verdict.
     """
+    return judge(_gfs_misses(P, U, z))
+
+
+def _afs_misses(P: Problem, U: UtilityProfile, z=None):
     require_profile_size(P, U)
-    tol = Fraction(tol)
     for a in range(P.m):
         liking = [i for i, x in enumerate(P.masks) if x >> a & 1]
         liking.sort(key=U.__getitem__)
@@ -201,19 +216,53 @@ def check_afs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerd
         for s, i in enumerate(liking, 1):
             total += U[i]
             required = Fraction(s * s, P.n)
-            if total < required - tol:
-                return AxiomVerdict(
-                    passed=False,
-                    witness={
-                        "coalition": tuple(sorted(liking[:s])),
-                        "total_utility": total,
-                        "required_total": required,
-                    },
-                )
-    return AxiomVerdict(passed=True)
+            if total < required:
+                yield required - total, {
+                    "coalition": tuple(sorted(liking[:s])),
+                    "total_utility": total,
+                    "required_total": required,
+                }
 
 
-def check_cfs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerdict:
+def check_afs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
+    """Average fair share for coalitions with a commonly liked outcome.
+
+    Such a coalition lies inside N_a, the agents who like some outcome a, and
+    of the s-agent coalitions inside N_a the s smallest utilities have the
+    least total.  So AFS holds iff, for every a and s, those s utilities sum
+    to at least s^2/n: one sort per outcome, with no cap.  A failure reports
+    the first such s-agent coalition, by outcome, then s.
+    """
+    return judge(_afs_misses(P, U))
+
+
+def _cfs_misses(P: Problem, U: UtilityProfile, z=None):
+    require_profile_size(P, U)
+    coalitions = _clone_closed_coalitions(P)
+    if any(U[i] != U[agents[0]] for _, agents in P.clone_classes for i in agents):
+        raise ValueError("clones must have equal utilities")
+    for size, coalition in coalitions:
+        share = Fraction(size, P.n)
+        floors = [(len(agents), mask, U[agents[0]]) for mask, agents in coalition]
+        support = [sum(c for c, mask, _ in floors if mask >> a & 1) for a in range(P.m)]
+        base = sum((c * floor for c, _, floor in floors), _ZERO)
+        # cheap upper bound on the LP optimum: the objective is linear in z',
+        # so it is maximized at a pure outcome; no block is possible unless
+        # some outcome beats the coalition's current total
+        if share * max(support) <= base:
+            continue
+        out = surplus_lp(P.m, floors, share)
+        if out.status != "optimal":
+            continue  # coalition cannot even match U: no block from S
+        if out.value > base:
+            yield out.value - base, {
+                "coalition": _members(coalition),
+                "blocking_mixture": Mixture(out.solution),
+                "surplus": out.value - base,
+            }
+
+
+def check_cfs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
     """Core fair share: no coalition can block with its proportional share.
 
     Coalition S blocks if a mixture z' gives every member i at least
@@ -225,34 +274,14 @@ def check_cfs(P: Problem, U: UtilityProfile, tol: Fraction = _ZERO) -> AxiomVerd
     checked, each by an LP with one row per clone class.  With all like-sets
     distinct these are all coalitions, by size and then lexicographically.
     """
-    require_profile_size(P, U)
-    coalitions = _clone_closed_coalitions(P)
-    if any(U[i] != U[agents[0]] for _, agents in P.clone_classes for i in agents):
-        raise ValueError("clones must have equal utilities")
-    tol = Fraction(tol)
-    for size, coalition in coalitions:
-        share = Fraction(size, P.n)
-        floors = [(len(agents), mask, U[agents[0]]) for mask, agents in coalition]
-        support = [sum(c for c, mask, _ in floors if mask >> a & 1) for a in range(P.m)]
-        base = sum((c * floor for c, _, floor in floors), _ZERO)
-        # cheap upper bound on the LP optimum: the objective is linear in z',
-        # so it is maximized at a pure outcome; no block is possible unless
-        # some outcome beats the coalition's current total
-        if share * max(support) <= base + tol:
-            continue
-        out = surplus_lp(P.m, floors, share)
-        if out.status != "optimal":
-            continue  # coalition cannot even match U: no block from S
-        if out.value > base + tol:
-            return AxiomVerdict(
-                passed=False,
-                witness={
-                    "coalition": _members(coalition),
-                    "blocking_mixture": Mixture(out.solution),
-                    "surplus": out.value - base,
-                },
-            )
-    return AxiomVerdict(passed=True)
+    return judge(_cfs_misses(P, U))
+
+
+# The share axioms by name, each a generator of misses on (P, U, z).
+SHARE_AXIOMS = {
+    "eff": _eff_misses, "ifs": _ifs_misses, "ufs": _ufs_misses,
+    "gfs": _gfs_misses, "afs": _afs_misses, "cfs": _cfs_misses,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +371,7 @@ def check_participation(
         i, end = end, end + count
         _, z_without = rules.evaluate(rule, P.drop_agent(i))
         absent = z_without.weight_on(mask)
-        witness = {
-            "agent": i,
-            "with_ballot": U[i],
-            "without_ballot": absent,
-        }
+        witness = {"agent": i, "with_ballot": U[i], "without_ballot": absent}
         if U[i] < absent - guard:
             return AxiomVerdict(passed=False, witness=witness)
         if strict and absent < 1 - guard and U[i] <= absent + guard:
@@ -383,15 +408,8 @@ def check_dec(rule: rules.RuleId, P: Problem) -> AxiomVerdict:
         for local, i in enumerate(agents):
             expected = scale * subU[local]
             if abs(U[i] - expected) > guard:
-                return AxiomVerdict(
-                    passed=False,
-                    witness={
-                        "agent": i,
-                        "block": k,
-                        "utility": U[i],
-                        "expected": expected,
-                    },
-                )
+                witness = {"agent": i, "block": k, "utility": U[i], "expected": expected}
+                return AxiomVerdict(passed=False, witness=witness)
     return AxiomVerdict(passed=True)
 
 

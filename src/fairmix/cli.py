@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import operator
 import sys
 from fractions import Fraction
 
@@ -77,27 +76,6 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _miss(got, required="required"):
-    """How far a failing share verdict misses its bound, read from its witness."""
-    return lambda w: w[required] - w[got]
-
-
-_surplus = operator.itemgetter("surplus")
-
-# Axioms of a utility profile and the mixture realizing it, by name, each as
-# (checker, shortfall).  The checkers are looked up when called, so a patched
-# module attribute is used; AFS and CFS forgive a miss up to ``tol``.
-_SHARE_AXIOMS = {
-    "eff": (lambda P, U, z, tol: core.is_efficient(P, U, source=z), _surplus),
-    "ifs": (lambda P, U, z, tol: axioms.check_ifs(P, U), _miss("utility")),
-    "ufs": (lambda P, U, z, tol: axioms.check_ufs(P, U), _miss("utility")),
-    "gfs": (lambda P, U, z, tol: axioms.check_gfs(P, U, z), _miss("pooled_weight")),
-    "afs": (
-        lambda P, U, z, tol: axioms.check_afs(P, U, tol),
-        _miss("total_utility", "required_total"),
-    ),
-    "cfs": (lambda P, U, z, tol: axioms.check_cfs(P, U, tol), _surplus),
-}
 # Axioms of a rule: the strategyproofness variants, participation and DEC.
 _RULE_AXIOMS = {
     v.value: lambda rule, P, v=v: axioms.check_sp(rule, P, v) for v in axioms.SpVariant
@@ -114,23 +92,16 @@ def _cmd_check(args) -> int:
     _reject_q_without_hrule([args.rule or ""], args.q)
     rule = None if args.rule is None else _parse_rule(args.rule, args.q)
 
-    if axiom in _SHARE_AXIOMS:
+    if axiom in axioms.SHARE_AXIOMS:
         if (rule is None) == (args.mixture is None):
             raise ValueError(f"--axiom {axiom} needs --rule or --mixture, not both")
         if rule is not None:
             U, z = rules.evaluate(rule, P)
+            guard = axioms.tie_guard(rule)
         else:
             z = core.parse_mixture(args.mixture)
-            U = core.utilities(P, z)
-        check, shortfall = _SHARE_AXIOMS[axiom]
-        verdict = check(P, U, z, 0)
-        # a numeric rule's miss within the tie guard is rounding, not a
-        # failure; AFS and CFS look past it for a miss beyond the guard
-        guard = 0 if rule is None else axioms.tie_guard(rule)
-        if verdict.passed is False and shortfall(verdict.witness) <= guard:
-            recheck = check(P, U, z, guard)
-            fails = recheck.passed is False and shortfall(recheck.witness) > guard
-            verdict = recheck if fails else core.AxiomVerdict(None, verdict.witness)
+            U, guard = core.utilities(P, z), 0
+        verdict = axioms.judge(axioms.SHARE_AXIOMS[axiom](P, U, z), guard)
     elif axiom in _RULE_AXIOMS:
         if rule is None:
             raise ValueError(f"--axiom {axiom} needs --rule")
@@ -249,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("check", help="check an axiom for a rule or mixture")
     _add_problem_args(s)
     _add_rule_args(s, required=False)
-    names = "|".join([*_SHARE_AXIOMS, *_RULE_AXIOMS])
+    names = "|".join([*axioms.SHARE_AXIOMS, *_RULE_AXIOMS])
     s.add_argument("--axiom", required=True, help=names)
     s.add_argument("--mixture", help="check this mixture instead of a rule output")
     s.set_defaults(func=_cmd_check)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import rules
-from .core import Problem, format_rational
+from .core import MAX_TYPED_AGENTS, Problem, format_rational
 
 __all__ = [
     "ExperimentGrid",
@@ -45,6 +45,8 @@ class ExperimentGrid:
             raise ValueError("grid must have at least one cell")
         if min(self.agent_counts) < 1 or min(self.outcome_counts) < 1:
             raise ValueError("need every n >= 1 and m >= 1")
+        if max(self.agent_counts) * self.draws > MAX_TYPED_AGENTS:  # held at once
+            raise ValueError(f"a cell's n * draws exceeds {MAX_TYPED_AGENTS} agents")
 
 
 @dataclass(frozen=True)

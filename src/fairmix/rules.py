@@ -547,8 +547,9 @@ class _WelfareSolver:
         tries to polish the iterate; a wrong support guess reseeds the
         violating classes.  The stop test is a stationarity residual of at
         most ``DEFAULT_NMP_TOL``/2 in units of lambda/n (1 for the log
-        family).  Returns the class weights with those at most ``_SNAP``
-        zeroed, the iteration count, and whether the stop test passed.
+        family); class weights that repeat at a Newton checkpoint stop the
+        run.  Returns the class weights with those at most ``_SNAP`` zeroed,
+        the iteration count, and whether the stop test passed.
         """
         members, liking, n = self.members, self.liking, self.n
         tol_f = float(DEFAULT_NMP_TOL)
@@ -569,30 +570,36 @@ class _WelfareSolver:
         obj = self.objective(util(zf))
         iterations = 0
         converged = False
+        checkpoints = set()
         while iterations < _ITERATION_CAP:
             iterations += 1
             res, g, lam = residual(zf)
             if res <= tol_f * 0.5 * (lam / n):
                 converged = True
                 break
-            if iterations % 25 == 0 and res < 1e-1 * lam:
-                refined = self.newton(zf)
-                if refined is not None:
-                    ref_res, ref_g, ref_lam = residual(refined)
-                    if ref_res <= tol_f * 0.5 * (ref_lam / n):
-                        zf, converged = refined, True
-                        break
-                    if ref_res < res:
-                        # correct direction but not converged, or the support
-                        # must grow: reseed the violating coordinates
-                        zf = [
-                            max(x, 1e-8) if gc > ref_lam else x
-                            for x, gc in zip(refined, ref_g)
-                        ]
-                        total = sum(zf)
-                        zf = [x / total for x in zf]
-                        obj = self.objective(util(zf))
-                        continue
+            if iterations % 25 == 0:
+                # obj is the objective at zf, so a repeated zf cycles forever
+                if tuple(zf) in checkpoints:
+                    break
+                checkpoints.add(tuple(zf))
+                if res < 1e-1 * lam:
+                    refined = self.newton(zf)
+                    if refined is not None:
+                        ref_res, ref_g, ref_lam = residual(refined)
+                        if ref_res <= tol_f * 0.5 * (ref_lam / n):
+                            zf, converged = refined, True
+                            break
+                        if ref_res < res:
+                            # correct direction but not converged, or the support
+                            # must grow: reseed the violating coordinates
+                            zf = [
+                                max(x, 1e-8) if gc > ref_lam else x
+                                for x, gc in zip(refined, ref_g)
+                            ]
+                            total = sum(zf)
+                            zf = [x / total for x in zf]
+                            obj = self.objective(util(zf))
+                            continue
             cand = [x * gc / lam for x, gc in zip(zf, g)]
             total = sum(cand)
             cand = [x / total for x in cand]

@@ -338,23 +338,9 @@ def _axiom_outcome(axiom, rname, P, evald):
         if Uz is None:
             return None
         U, z = Uz
-        if axiom == "EFF":
-            v = core.is_efficient(P, U, source=z)
-            return v.passed or v.witness["surplus"] <= slack
-        if axiom == "IFS":
-            v = axioms.check_ifs(P, U)
-            return v.passed or (
-                v.witness["required"] - v.witness["utility"] <= slack
-            )
-        if axiom == "GFS":
-            v = axioms.check_gfs(P, U, z)
-            return v.passed or (
-                v.witness["required"] - v.witness["pooled_weight"] <= slack
-            )
-        if axiom == "AFS":
-            return axioms.check_afs(P, U, tol=slack).passed
-        if axiom == "CFS":
-            return axioms.check_cfs(P, U, tol=slack).passed
+        if axiom in ("EFF", "IFS", "GFS", "AFS", "CFS"):
+            misses = axioms.SHARE_AXIOMS[axiom.lower()](P, U, z)
+            return axioms.judge(misses, slack).passed
     except ValueError:  # size caps, connected problems for DEC, n = 1
         return None
     raise AssertionError(f"unknown axiom {axiom}")  # pragma: no cover

@@ -179,7 +179,9 @@ def test_cfs_nmp_passes_random():
     for _ in range(20):
         P = _random_problem(rng, max_n=5, max_m=4)
         sol = rules.nmp_rule(P)
-        assert check_cfs(P, utilities(P, sol.z), tol=F(1, 10**6)).passed is True
+        misses = axioms.SHARE_AXIOMS["cfs"](P, utilities(P, sol.z), sol.z)
+        # no miss beyond 1e-6; one within it is NMP's rounding (inconclusive)
+        assert axioms.judge(misses, F(1, 10**6)).passed is not False
 
 
 def test_cfs_at_grand_coalition_is_efficiency():
@@ -227,6 +229,47 @@ def test_share_checkers_refuse_profile_of_wrong_size(size):
     for check in (check_ifs, check_ufs, check_afs, check_cfs):
         with pytest.raises(ValueError, match="differs from agent count"):
             check(P, U)
+
+
+# three agents, each liking only its own outcome: agent 0 misses its share
+# by 1/1000 and agent 1 by 1/10, in every share axiom's checking order
+TWO_MISSES = Problem.from_rows(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+TWO_MISSES_Z = Mixture(
+    (F(1, 3) - F(1, 1000), F(1, 3) - F(1, 10), F(1, 3) + F(1, 10) + F(1, 1000))
+)
+
+
+@pytest.mark.parametrize("axiom, key, first, later", [
+    ("ifs", "agent", 0, 1),
+    ("ufs", "agent", 0, 1),
+    ("gfs", "coalition", (0,), (1,)),
+    ("afs", "coalition", (0,), (1,)),
+    ("cfs", "coalition", (0,), (1,)),
+])
+@pytest.mark.parametrize("guard, passed, named", [
+    (F(1, 100), False, "later"),  # looks past a near-tie to the larger miss
+    (F(1, 2), None, "first"),  # every miss within the guard
+    (F(0), False, "first"),  # the exact verdict
+])
+def test_judge_share_misses(axiom, key, first, later, guard, passed, named):
+    P, z = TWO_MISSES, TWO_MISSES_Z
+    U = utilities(P, z)
+    verdict = axioms.judge(axioms.SHARE_AXIOMS[axiom](P, U, z), guard)
+    assert verdict.passed is passed
+    assert verdict.witness[key] == (first if named == "first" else later)
+    if guard == 0:
+        check = getattr(axioms, f"check_{axiom}")
+        assert verdict == (check(P, U, z) if axiom == "gfs" else check(P, U))
+
+
+def test_judge_eff_and_no_miss():
+    z = Mixture((F(0), F(1, 2), F(1, 2), F(0), F(0)))  # not efficient on ex3
+    U = utilities(EX3, z)
+    surplus = core.is_efficient(EX3, U, source=z).witness["surplus"]
+    misses = axioms.SHARE_AXIOMS["eff"]
+    assert axioms.judge(misses(EX3, U, z)).passed is False
+    assert axioms.judge(misses(EX3, U, z), surplus).passed is None
+    assert axioms.judge(iter(())) == core.AxiomVerdict(passed=True)
 
 
 # ------------------------------------------- coalition oracle (hypothesis)

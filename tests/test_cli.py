@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fairmix import cli, core, generators, rules
+from fairmix import cli, core, experiments, generators, rules
 
 F = Fraction
 
@@ -126,13 +126,26 @@ def test_check_axiom_failure_exits_one(capsys):
 NMP_ROUNDING_PROBLEM = "5 4\n1001\n0001\n1100\n0010\n0101\n"
 
 
-@pytest.mark.parametrize("axiom", ["ifs", "cfs", "gfs"])
+# the witness of the first miss, within the guard, that each axiom prints
+_U3 = "900719925474099/4503599627370496"  # agent 3's utility
+NMP_ROUNDING_WITNESSES = {
+    "ifs": f"agent=3,required=1/5,utility={_U3}",
+    "ufs": f"agent=3,clone_class=(3),required=1/5,utility={_U3}",
+    "gfs": f"coalition=(3),pooled_weight={_U3},required=1/5",
+    "afs": f"coalition=(3),required_total=1/5,total_utility={_U3}",
+    "cfs": "blocking_mixture=(0/1 0/1 1/1 0/1),coalition=(3),"
+           "surplus=1/22517998136852480",
+}
+
+
+@pytest.mark.parametrize("axiom", ["ifs", "cfs", "gfs", "ufs", "afs"])
 def test_check_numeric_rule_within_tie_guard_is_inconclusive(capsys, tmp_path, axiom):
     path = tmp_path / "ic1135.prob"
     path.write_text(NMP_ROUNDING_PROBLEM)
     code, out, _ = run(capsys, "check", str(path), "--axiom", axiom, "--rule", "nmp")
     assert code == 0
-    assert "result=inconclusive" in out and "witness=[" in out
+    assert out == (f"{axiom.upper()} rule=NMP result=inconclusive "
+                   f"witness=[{NMP_ROUNDING_WITNESSES[axiom]}]\n")
 
 
 @pytest.mark.parametrize("text, q, coalition", [
@@ -250,6 +263,18 @@ def test_table_rp_cap(capsys):
                        "--draws", "1", "--seed", "0", "--rules", "rp")
     assert code == 2
     assert "DP steps" in err
+
+
+@pytest.mark.parametrize("agents, draws", [("3000000", "1"), ("3", "1000000")])
+def test_table_cell_over_the_agent_cap_draws_nothing(capsys, monkeypatch, agents,
+                                                      draws):
+    def no_draws(*args):
+        raise AssertionError("a profile was drawn")
+
+    monkeypatch.setattr(experiments, "impartial_culture", no_draws)
+    code, out, err = run(capsys, "table", "--agents", agents, "--outcomes", "3",
+                         "--draws", draws, "--rules", "cut")
+    assert code == 2 and out == "" and "n * draws" in err
 
 
 # ---------------------------------------------------------------- construct
@@ -404,6 +429,17 @@ def test_unconverged_hrule_is_an_input_error(capsys, monkeypatch, command):
     code, out, err = run(capsys, *command, "hrule", "--q=-5")
     assert code == 2 and out == ""
     assert err.startswith("error: hrule q=-5 did not converge in 300 iterations")
+
+
+def test_stalled_hrule_stops_before_the_cap(capsys):
+    # q = -5 on ex3 cycles between two sets of class weights: the solver
+    # stops at the first repeat of a checkpoint, not at the iteration cap
+    code, out, err = run(capsys, "solve", "--fixture", "ex3", "--rule", "hrule",
+                         "--q=-5")
+    assert code == 2 and out == ""
+    prefix = "error: hrule q=-5 did not converge in "
+    assert err.startswith(prefix)
+    assert int(err[len(prefix):].split()[0]) < rules._ITERATION_CAP
 
 
 @pytest.mark.parametrize("rule", ["util", "cut", "egal", "rp"])

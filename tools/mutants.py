@@ -162,11 +162,21 @@ MUTANTS = [
      "        if not sol.converged:",
      "        if False:",
      "tests/test_cli.py::test_unconverged_hrule_is_an_input_error"),
-    # check: a miss within the tie guard is never re-judged with tol = guard
-    ("src/fairmix/cli.py",
-     "recheck = check(P, U, z, guard)",
-     "recheck = verdict",
+    # judge: the first miss within the guard ends the search
+    ("src/fairmix/axioms.py",
+     "        if first is None:\n            first = witness",
+     "        if first is None:\n            return AxiomVerdict(passed=None, witness=witness)",
      "tests/test_cli.py::test_check_afs_failure_beyond_a_near_tie_is_a_failure"),
+    # judge: an inconclusive verdict names the last miss, not the first
+    ("src/fairmix/axioms.py",
+     "        if first is None:\n            first = witness",
+     "        if True:\n            first = witness",
+     "tests/test_axioms.py::test_judge_share_misses"),
+    # welfare solver: no stop when a checkpoint's class weights repeat
+    ("src/fairmix/rules.py",
+     "if tuple(zf) in checkpoints:",
+     "if False:",
+     "tests/test_cli.py::test_stalled_hrule_stops_before_the_cap"),
     # construct: a worst-case family built with options missing
     ("src/fairmix/cli.py",
      "if None in values.values():",
