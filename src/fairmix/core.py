@@ -52,9 +52,12 @@ def mask_outcomes(mask: int) -> tuple:
     return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
 
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # the characters "0", "1" to bytes 0, 1
+
+
 def mask_row(mask: int, m: int) -> tuple:
     """The 0/1 approval row of a like-mask over ``m`` outcomes."""
-    return tuple(mask >> a & 1 for a in range(m))
+    return tuple(format(mask, f"0{m}b")[::-1].encode().translate(_BIT_VALUES))
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,7 @@ def _row_mask(i: int, row: Sequence[int], m: int) -> int:
         raise ValueError(f"row {i} contains a non-bit entry")
     if not any(row):
         raise ValueError(f"row {i} is all zeros (agent likes nothing)")
-    return sum(1 << a for a, x in enumerate(row) if x)
+    return int("".join("1" if x else "0" for x in reversed(row)), 2)
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,8 @@ class ExperimentGrid:
             raise ValueError("grid must have at least one cell")
         if min(self.agent_counts) < 1 or min(self.outcome_counts) < 1:
             raise ValueError("need every n >= 1 and m >= 1")
-        if max(self.agent_counts) * self.draws > MAX_TYPED_AGENTS:  # held at once
+        # caps the agents a cell draws, all of which the rules' memo may keep
+        if max(self.agent_counts) * self.draws > MAX_TYPED_AGENTS:
             raise ValueError(f"a cell's n * draws exceeds {MAX_TYPED_AGENTS} agents")
 
 
@@ -84,20 +85,24 @@ def welfare_ratio(P: Problem, rule: rules.RuleId) -> Fraction:
 
 
 def run_grid(g: ExperimentGrid):
-    """Evaluate every (rule, n, m) cell; returns a list of result rows."""
+    """Evaluate every (rule, n, m) cell; returns a list of result rows.
+
+    A cell is one pass over its draws: each problem is drawn once and scored
+    by every rule, which keep a running minimum and sum of their ratios.
+    """
     results = []
     for n in g.agent_counts:
         for m in g.outcome_counts:
-            problems = [
-                impartial_culture(n, m, _subseed(g.seed, n, m, k))
-                for k in range(g.draws)
-            ]
-            for rule in g.rules:
-                ratios = [welfare_ratio(P, rule) for P in problems]
-                cell = RatioCell(
-                    min_ratio=min(ratios),
-                    avg_ratio=sum(ratios, Fraction(0)) / len(ratios),
-                )
+            low = [Fraction(1)] * len(g.rules)  # no ratio exceeds 1
+            total = [Fraction(0)] * len(g.rules)
+            for k in range(g.draws):
+                P = impartial_culture(n, m, _subseed(g.seed, n, m, k))
+                for j, rule in enumerate(g.rules):
+                    ratio = welfare_ratio(P, rule)
+                    low[j] = min(low[j], ratio)
+                    total[j] += ratio
+            for rule, lo, tot in zip(g.rules, low, total):
+                cell = RatioCell(min_ratio=lo, avg_ratio=tot / g.draws)
                 results.append((rule, n, m, g.draws, g.seed, cell))
     return results
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .core import Mixture, Problem
@@ -169,28 +170,22 @@ def cut_worstcase(params: CutWorstCaseParams) -> Problem:
     supports: n1 for ``a``, p for each B-outcome, p-1 for each C-outcome.
     """
     n1, n2, p, q = params.n1, params.n2, params.p, params.q
-    m = 2 * n2 + 1
-    rows = []
-    for i in range(n1):
-        row = [0] * m
-        row[0] = 1
-        for t in range(q):
-            row[1 + (i * q + t) % n2] = 1
-        rows.append(tuple(row))
-    for j in range(n2):
-        row = [0] * m
-        row[1 + j] = 1
-        for t in range(p - 1):
-            row[1 + n2 + (j + t) % n2] = 1
-        rows.append(tuple(row))
-    return Problem.from_rows(tuple(rows))
+    ring = (1 << n2) - 1
+
+    def window(start: int, width: int) -> int:
+        # the ``width`` ring outcomes from ``start`` on, mod n2; one wrap is
+        # enough, as p < n1 and p < n2 give q < n2 and p - 1 < n2
+        bits = ((1 << width) - 1) << start
+        return (bits | bits >> n2) & ring
+
+    entries = [(1, 1 | window(i * q % n2, q) << 1) for i in range(n1)]
+    entries += [(1, 1 << 1 + j | window(j, p - 1) << 1 + n2) for j in range(n2)]
+    return Problem(2 * n2 + 1, tuple(entries))
 
 
 def rp_worstcase(params: RpWorstCaseParams) -> Problem:
     """d block outcomes, each liked by one block of k agents, plus one
     outcome for every ell-subset of agents."""
-    from itertools import combinations
-
     k, d, ell, n = params.k, params.d, params.ell, params.n
     m = d + comb(n, ell)
     if m > RP_WORSTCASE_MAX_OUTCOMES:
@@ -198,16 +193,11 @@ def rp_worstcase(params: RpWorstCaseParams) -> Problem:
             f"instance would have {m} outcomes, above the cap "
             f"{RP_WORSTCASE_MAX_OUTCOMES}"
         )
-    subsets = list(combinations(range(n), ell))
-    rows = []
-    for i in range(n):
-        row = [0] * m
-        row[i // k] = 1
-        for c, S in enumerate(subsets):
-            if i in S:
-                row[d + c] = 1
-        rows.append(tuple(row))
-    return Problem.from_rows(tuple(rows))
+    masks = [1 << i // k for i in range(n)]
+    for c, S in enumerate(combinations(range(n), ell)):
+        for i in S:
+            masks[i] |= 1 << d + c
+    return Problem(m, tuple((1, mask) for mask in masks))
 
 
 # the worst-case families by name, each as (parameter class, builder)

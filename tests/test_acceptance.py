@@ -41,6 +41,7 @@ from fractions import Fraction
 from fairmix import axioms, core, experiments, generators, rules
 from fairmix.axioms import SpVariant
 from fairmix.core import Mixture, Problem, utilities
+from random_profiles import random_problem
 
 F = Fraction
 
@@ -65,16 +66,6 @@ def _verdict(num, name, ok, detail=""):
         line += f" -- {detail}"
     print(line)
     assert ok, line
-
-
-def _random_problem(rng, max_n, max_m, min_n=1):
-    n = rng.randint(min_n, max_n)
-    m = rng.randint(1, max_m)
-    rows = []
-    for _ in range(n):
-        mask = rng.randrange(1, 1 << m)
-        rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem.from_rows(tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +374,7 @@ def test_criterion_05_axiom_matrix():
     start = time.monotonic()
     rng = random.Random(20260823)
     corpus = [
-        (f"random-{k}", _random_problem(rng, max_n=6, max_m=5, min_n=2))
+        (f"random-{k}", random_problem(rng, max_n=6, max_m=5, min_n=2))
         for k in range(500)
     ]
     corpus += [(name, generators.fixture(name)) for name in
@@ -425,7 +416,7 @@ def test_criterion_06_cut_dominates_rp():
     inheritance_failures = 0
     rp_efficient_seen = 0
     for _ in range(1000):
-        P = _random_problem(rng, max_n=8, max_m=5)
+        P = random_problem(rng, max_n=8, max_m=5)
         Urp, zrp = rules.rp_exact(P)
         Ucut, zcut = rules.cut_rule(P)
         if Urp.total() > Ucut.total():
@@ -688,7 +679,7 @@ def test_criterion_10_invariant_suites():
     def _():
         rng = random.Random(1001)
         for _ in range(12):
-            P = _random_problem(rng, max_n=5, max_m=4)
+            P = random_problem(rng, max_n=5, max_m=4)
             rperm = list(range(P.n))
             rng.shuffle(rperm)
             Pr = Problem.from_rows(tuple(P.u[rperm[i]] for i in range(P.n)))
@@ -718,7 +709,7 @@ def test_criterion_10_invariant_suites():
     def _():
         rng = random.Random(1003)
         for _ in range(15):
-            P = _random_problem(rng, max_n=5, max_m=4)
+            P = random_problem(rng, max_n=5, max_m=4)
             i = rng.randrange(P.n)
             clone = Problem.from_rows(P.u + (P.u[i],))
             U, _ = rules.egal_rule(P)
@@ -729,7 +720,7 @@ def test_criterion_10_invariant_suites():
     def _():
         rng = random.Random(1005)
         for _ in range(10):
-            P = _random_problem(rng, max_n=5, max_m=4)
+            P = random_problem(rng, max_n=5, max_m=4)
             Ustar = utilities(P, rules.nmp_rule(P).z)
             for _ in range(15):
                 weights = [F(rng.randint(0, 5)) for _ in range(P.m)]
@@ -745,11 +736,10 @@ def test_criterion_10_invariant_suites():
         rng = random.Random(1007)
         cases = [generators.fixture("dec-m"), generators.fixture("dec-mprime")]
         for _ in range(10):
-            A = _random_problem(rng, max_n=3, max_m=3)
-            B = _random_problem(rng, max_n=3, max_m=3)
-            rows = [row + (0,) * B.m for row in A.u]
-            rows += [(0,) * A.m + row for row in B.u]
-            cases.append(Problem.from_rows(tuple(rows)))
+            A = random_problem(rng, max_n=3, max_m=3)
+            B = random_problem(rng, max_n=3, max_m=3)
+            shifted = tuple((c, mask << A.m) for c, mask in B.entries)
+            cases.append(Problem(A.m + B.m, A.entries + shifted))
         for P in cases:
             for rid in (rules.NMP, rules.CUT, rules.RP):
                 assert axioms.check_dec(rid, P).passed is True
@@ -759,9 +749,9 @@ def test_criterion_10_invariant_suites():
         rng = random.Random(1009)
         for _ in range(60):
             if rng.random() < 0.5:
-                P = _random_problem(rng, max_n=4, max_m=6)
+                P = random_problem(rng, max_n=4, max_m=6)
             else:
-                P = _random_problem(rng, max_n=8, max_m=3)
+                P = random_problem(rng, max_n=8, max_m=3)
             undom = sorted(core.undominated_outcomes(P))
             weights = [F(0)] * P.m
             for a in undom:

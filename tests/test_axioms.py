@@ -25,21 +25,12 @@ from fairmix.axioms import (
     polarized_partition,
 )
 from fairmix.core import Mixture, Problem, UtilityProfile, utilities
+from random_profiles import random_problem
 from test_rules import _nested_profiles
 
 F = Fraction
 
 EX3 = generators.fixture("ex3")
-
-
-def _random_problem(rng, max_n=6, max_m=5):
-    n = rng.randint(1, max_n)
-    m = rng.randint(1, max_m)
-    rows = []
-    for _ in range(n):
-        mask = rng.randrange(1, 1 << m)
-        rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem.from_rows(tuple(rows))
 
 
 # ---------------------------------------------------------------- IFS
@@ -48,7 +39,7 @@ def _random_problem(rng, max_n=6, max_m=5):
 def test_ifs_egal_always_passes():
     rng = random.Random(101)
     for _ in range(50):
-        P = _random_problem(rng)
+        P = random_problem(rng, max_n=6, max_m=5)
         U, _ = rules.egal_rule(P)
         assert check_ifs(P, U).passed is True
 
@@ -73,7 +64,7 @@ def test_ifs_single_agent():
 def test_ufs_cut_always_passes():
     rng = random.Random(103)
     for _ in range(50):
-        P = _random_problem(rng)
+        P = random_problem(rng, max_n=6, max_m=5)
         U, _ = rules.cut_rule(P)
         assert check_ufs(P, U).passed is True
 
@@ -101,7 +92,7 @@ def test_ufs_all_identical():
 def test_gfs_rp_passes_small_random():
     rng = random.Random(107)
     for _ in range(25):
-        P = _random_problem(rng, max_n=6, max_m=4)
+        P = random_problem(rng, max_n=6, max_m=4)
         U, z = rules.rp_exact(P)
         assert check_gfs(P, U, z).passed is True
 
@@ -109,7 +100,7 @@ def test_gfs_rp_passes_small_random():
 def test_gfs_cut_passes_small_random():
     rng = random.Random(109)
     for _ in range(25):
-        P = _random_problem(rng, max_n=6, max_m=4)
+        P = random_problem(rng, max_n=6, max_m=4)
         U, z = rules.cut_rule(P)
         assert check_gfs(P, U, z).passed is True
 
@@ -121,9 +112,7 @@ def test_gfs_util_fails_on_ex3():
 
 
 # 17 distinct like-sets over 5 outcomes: one agent type more than the cap
-SEVENTEEN_TYPES = Problem.from_rows(
-    tuple(tuple(k >> a & 1 for a in range(5)) for k in range(1, 18))
-)
+SEVENTEEN_TYPES = Problem(5, tuple((1, k) for k in range(1, 18)))
 
 
 def test_gfs_size_refusal():
@@ -177,7 +166,7 @@ def test_cfs_fails_on_cfs_example():
 def test_cfs_nmp_passes_random():
     rng = random.Random(113)
     for _ in range(20):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         sol = rules.nmp_rule(P)
         misses = axioms.SHARE_AXIOMS["cfs"](P, utilities(P, sol.z), sol.z)
         # no miss beyond 1e-6; one within it is NMP's rounding (inconclusive)
@@ -285,7 +274,7 @@ def _clone_heavy_profiles(draw):
     pool = sorted({op(a, b) for a in base for b in base
                    for op in (int.__and__, int.__or__)} - {0})
     masks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
-    return Problem.from_rows(tuple(tuple(k >> a & 1 for a in range(m)) for k in masks))
+    return Problem(m, tuple((1, k) for k in masks))
 
 
 def _oracle_verdicts(P, U, z):
@@ -389,14 +378,14 @@ def test_egal_exsp_passes_fixture_and_random():
     assert check_sp(rules.EGAL, P, SpVariant.EXSP).passed is True
     rng = random.Random(127)
     for _ in range(10):
-        Q = _random_problem(rng, max_n=4, max_m=3)
+        Q = random_problem(rng, max_n=4, max_m=3)
         assert check_sp(rules.EGAL, Q, SpVariant.EXSP).passed is True
 
 
 def test_cut_and_rp_sp_on_random():
     rng = random.Random(131)
     for _ in range(10):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         assert check_sp(rules.CUT, P, SpVariant.SP).passed is True
         assert check_sp(rules.RP, P, SpVariant.SP).passed is True
 
@@ -485,7 +474,7 @@ def test_sp_accepts_many_agents_of_few_types():
 def test_participation_strict_cut_nmp_random():
     rng = random.Random(137)
     for _ in range(12):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         if P.n < 2:
             continue
         assert check_participation(rules.CUT, P, strict=True).passed is True

@@ -1,8 +1,10 @@
 """Tests for core domain types, I/O, utilities, and efficiency."""
 
+import ast
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -24,18 +26,9 @@ from fairmix.core import (
     undominated_outcomes,
     utilities,
 )
+from random_profiles import random_problem
 
 F = Fraction
-
-
-def _random_problem(rng, max_n=6, max_m=6):
-    n = rng.randint(1, max_n)
-    m = rng.randint(1, max_m)
-    rows = []
-    for _ in range(n):
-        mask = rng.randrange(1, 1 << m)
-        rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem.from_rows(tuple(rows))
 
 
 def _random_mixture(rng, m, support=None):
@@ -206,7 +199,7 @@ def test_typed_agent_cap_is_inclusive():
 def test_problem_round_trip():
     rng = random.Random(3)
     for _ in range(50):
-        P = _random_problem(rng)
+        P = random_problem(rng, max_n=6, max_m=6)
         assert parse_problem(format_problem(P)) == P
 
 
@@ -241,7 +234,7 @@ def test_utilities_on_ex3():
 def test_utilities_point_mass():
     rng = random.Random(5)
     for _ in range(20):
-        P = _random_problem(rng)
+        P = random_problem(rng, max_n=6, max_m=6)
         a = rng.randrange(P.m)
         z = Mixture(tuple(F(1) if b == a else F(0) for b in range(P.m)))
         assert utilities(P, z).U == tuple(F(P.u[i][a]) for i in range(P.n))
@@ -263,7 +256,7 @@ def test_total_utility_identity():
     # Sum_i U_i == sum_a z_a * (column sum at a), exactly.
     rng = random.Random(11)
     for _ in range(100):
-        P = _random_problem(rng)
+        P = random_problem(rng, max_n=6, max_m=6)
         z = _random_mixture(rng, P.m)
         U = utilities(P, z)
         assert U.total() == sum(
@@ -292,7 +285,7 @@ def test_undominated_identical_columns():
 def test_undominated_clone_invariance():
     rng = random.Random(17)
     for _ in range(50):
-        P = _random_problem(rng, max_m=5)
+        P = random_problem(rng, max_n=6, max_m=5)
         a = rng.randrange(P.m)
         cloned = Problem.from_rows(tuple(row + (row[a],) for row in P.u))
         before = undominated_outcomes(P)
@@ -320,7 +313,7 @@ def test_is_efficient_pure_outcomes():
     rng = random.Random(23)
     checked_dominated = 0
     for _ in range(1000):
-        P = _random_problem(rng)
+        P = random_problem(rng, max_n=6, max_m=6)
         undom = undominated_outcomes(P)
         a = rng.randrange(P.m)
         z = Mixture(tuple(F(1) if b == a else F(0) for b in range(P.m)))
@@ -406,7 +399,7 @@ def _epsilon_bisection(P, U, tol):
 def test_epsilon_matches_bisection():
     rng = random.Random(83)
     for _ in range(12):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         z = _random_mixture(rng, P.m)
         scale = F(rng.randint(1, 12), 12)
         U = UtilityProfile(tuple(x * scale for x in utilities(P, z).U))
@@ -440,7 +433,7 @@ def test_interval_structure_implies_efficiency_of_undominated_support():
     rng = random.Random(31)
     found = 0
     while found < 25:
-        P = _random_problem(rng, max_n=6, max_m=5)
+        P = random_problem(rng, max_n=6, max_m=5)
         if not _has_interval_order(P):
             continue
         found += 1
@@ -455,9 +448,18 @@ def test_small_size_efficiency():
     rng = random.Random(37)
     for _ in range(150):
         if rng.random() < 0.5:
-            P = _random_problem(rng, max_n=4, max_m=6)
+            P = random_problem(rng, max_n=4, max_m=6)
         else:
-            P = _random_problem(rng, max_n=8, max_m=3)
+            P = random_problem(rng, max_n=8, max_m=3)
         undom = undominated_outcomes(P)
         z = _random_mixture(rng, P.m, support=sorted(undom))
         assert is_efficient(P, utilities(P, z), source=z).passed is True
+
+
+def test_src_has_no_assert_statements():
+    # python -O strips asserts, so no control flow in the library may rely on them
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(core.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []

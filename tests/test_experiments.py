@@ -92,6 +92,19 @@ def test_run_grid_rp_never_beats_cut_in_total():
             assert rows[("RP", n, m)].avg_ratio <= rows[("CUT", n, m)].avg_ratio
 
 
+def test_run_grid_cells_are_the_min_and_mean_of_each_draw():
+    # the exact rules, one of them twice: each listed rule gets its own row
+    rule_ids = (rules.CUT, rules.RP, rules.EGAL, rules.UTIL, rules.CUT)
+    g = ExperimentGrid((3, 4), (2, 3), draws=12, seed=5, rules=rule_ids)
+    results = run_grid(g)
+    assert [row[:5] for row in results] == [
+        (rule, n, m, 12, 5) for n in (3, 4) for m in (2, 3) for rule in rule_ids]
+    for rule, n, m, _, _, cell in results:
+        ratios = [welfare_ratio(impartial_culture(n, m, experiments._subseed(5, n, m, k)), rule)
+                  for k in range(12)]
+        assert (cell.min_ratio, cell.avg_ratio) == (min(ratios), sum(ratios) / 12)
+
+
 def test_csv_format():
     g = ExperimentGrid((3,), (3,), draws=5, seed=2, rules=(rules.CUT,))
     text = grid_to_csv(run_grid(g))

@@ -75,10 +75,13 @@ def test_cut_worstcase_size_cap():
 
 def test_cut_worstcase_example_instance():
     P = cut_worstcase(CutWorstCaseParams(n1=5, n2=5, p=4))
-    assert (P.n, P.m) == (10, 11)
-    # N2 rows: own b plus p-1 outcomes in C
-    for j in range(5):
-        assert sum(P.u[5 + j]) == 4
+    # bit a is outcome a: a = bit 0, the ring B bits 1-5, the ring C bits
+    # 6-10; agent i's window of q = 3 in B starts at 3i mod 5, agent j's
+    # window of p - 1 = 3 in C at j
+    assert P.m == 11 and P.entries == tuple((1, mask) for mask in (
+        0b00000001111, 0b00000110011, 0b00000011101, 0b00000100111,
+        0b00000111001, 0b00111000010, 0b01110000100, 0b11100001000,
+        0b11001010000, 0b10011100000))
     # CUT output as in the construction: half on a, 1/10 per b, zero on C
     U, z = rules.cut_rule(P)
     assert z.z[0] == F(1, 2)
@@ -164,6 +167,15 @@ def test_rp_worstcase_shape():
     assert P.column_sum(0) == 3 and P.column_sum(1) == 3
     for a in range(2, P.m):
         assert P.column_sum(a) == 2
+
+
+def test_rp_worstcase_exact_masks():
+    # bits 0-1 are the blocks {0, 1, 2} and {3, 4, 5}; bits 2-16 are the
+    # pairs (0, 1), (0, 2), ..., (4, 5) in lexicographic order
+    P = rp_worstcase(RpWorstCaseParams(k=3, d=2, ell=2))
+    assert P.entries == tuple((1, mask) for mask in (
+        0b00000000001111101, 0b00000011110000101, 0b00011100010001001,
+        0b01100100100010010, 0b10101001000100010, 0b11010010001000010))
 
 
 def test_rp_worstcase_size_refusal():

@@ -33,7 +33,7 @@ MAX_AGENTS, MAX_OUTCOMES, MAX_COUNT, MAX_EXPONENT = 8, 6, 20, 10**6
 def _problems(draw):
     m = draw(st.integers(1, MAX_OUTCOMES))
     masks = draw(st.lists(st.integers(1, 2**m - 1), min_size=1, max_size=MAX_AGENTS))
-    return Problem.from_rows(tuple(tuple(mask >> a & 1 for a in range(m)) for mask in masks))
+    return Problem(m, tuple((1, mask) for mask in masks))
 
 
 @st.composite

@@ -6,18 +6,9 @@ from fractions import Fraction
 from fairmix import axioms, core, generators, rules
 from fairmix.axioms import SpVariant
 from fairmix.core import Mixture, Problem, utilities
+from random_profiles import random_problem
 
 F = Fraction
-
-
-def _random_problem(rng, max_n=6, max_m=5, min_n=1):
-    n = rng.randint(min_n, max_n)
-    m = rng.randint(1, max_m)
-    rows = []
-    for _ in range(n):
-        mask = rng.randrange(1, 1 << m)
-        rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem.from_rows(tuple(rows))
 
 
 def _random_mixture(rng, m):
@@ -34,7 +25,7 @@ def test_fair_share_implication_chain():
     rng = random.Random(211)
     seen = {"cfs": 0, "afs": 0, "gfs": 0, "ufs": 0}
     for _ in range(120):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         z = _random_mixture(rng, P.m)
         U = utilities(P, z)
         ufs = axioms.check_ufs(P, U).passed
@@ -59,7 +50,7 @@ def test_sp_variant_equivalences():
     # SP <=> SP+ and SP*; EXSP <=> SP+ and SP-, pointwise per instance
     rng = random.Random(223)
     for _ in range(25):
-        P = _random_problem(rng, max_n=4, max_m=4)
+        P = random_problem(rng, max_n=4, max_m=4)
         for rule in (rules.UTIL, rules.EGAL, rules.CUT, rules.RP):
             results = {
                 v: axioms.check_sp(rule, P, v).passed
@@ -77,7 +68,7 @@ def test_cfs_at_grand_coalition_implies_efficiency():
     rng = random.Random(227)
     inefficient_seen = 0
     for _ in range(60):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         z = _random_mixture(rng, P.m)
         U = utilities(P, z)
         if core.is_efficient(P, U, source=z).passed:
@@ -91,7 +82,7 @@ def test_cut_rp_welfare_and_efficiency():
     rng = random.Random(229)
     efficient_rp_seen = 0
     for _ in range(150):
-        P = _random_problem(rng, max_n=6, max_m=5)
+        P = random_problem(rng, max_n=6, max_m=5)
         Urp, zrp = rules.rp_exact(P)
         Ucut, zcut = rules.cut_rule(P)
         assert Urp.total() <= Ucut.total()
@@ -109,7 +100,7 @@ def test_cut_equals_rp_when_undominated_supports_equal():
     attempts = 0
     while tested < 20 and attempts < 4000:
         attempts += 1
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         undom = core.undominated_outcomes(P)
         supports = {P.column_sum(a) for a in undom}
         if len(supports) != 1:
@@ -125,7 +116,7 @@ def test_egal_leximin_dominates_every_feasible_minimum():
     # the EGAL minimum utility is the maximin value: no mixture does better
     rng = random.Random(239)
     for _ in range(40):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         U, _ = rules.egal_rule(P)
         floor = min(U.U)
         for _ in range(15):
@@ -136,7 +127,7 @@ def test_egal_leximin_dominates_every_feasible_minimum():
 def test_util_maximizes_total_utility():
     rng = random.Random(241)
     for _ in range(40):
-        P = _random_problem(rng, max_n=6, max_m=5)
+        P = random_problem(rng, max_n=6, max_m=5)
         U, _ = rules.util_rule(P)
         best = max(P.column_sum(a) for a in range(P.m))
         assert U.total() == best
@@ -147,10 +138,8 @@ def test_dec_exact_rules_on_random_polarized_instances():
     # satisfy blockwise proportionality on it
     rng = random.Random(251)
     for _ in range(15):
-        A = _random_problem(rng, max_n=3, max_m=3)
-        B = _random_problem(rng, max_n=3, max_m=3)
-        rows = [row + (0,) * B.m for row in A.u]
-        rows += [(0,) * A.m + row for row in B.u]
-        P = Problem.from_rows(tuple(rows))
+        A = random_problem(rng, max_n=3, max_m=3)
+        B = random_problem(rng, max_n=3, max_m=3)
+        P = Problem(A.m + B.m, A.entries + tuple((c, mask << A.m) for c, mask in B.entries))
         for rid in (rules.CUT, rules.RP, rules.NMP):
             assert axioms.check_dec(rid, P).passed is True

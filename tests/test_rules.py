@@ -29,6 +29,7 @@ from fairmix.rules import (
     sigma_priority,
     util_rule,
 )
+from random_profiles import random_problem
 
 F = Fraction
 
@@ -44,16 +45,6 @@ def _electorate(seed, j, m, types, agents):
     cuts = sorted(rng.sample(range(1, agents), types - 1))
     counts = [b - a for a, b in zip([0] + cuts, cuts + [agents])]
     return Problem(m=m, entries=list(zip(counts, masks)))
-
-
-def _random_problem(rng, max_n=6, max_m=6):
-    n = rng.randint(1, max_n)
-    m = rng.randint(1, max_m)
-    rows = []
-    for _ in range(n):
-        mask = rng.randrange(1, 1 << m)
-        rows.append(tuple(1 if mask >> a & 1 else 0 for a in range(m)))
-    return Problem.from_rows(tuple(rows))
 
 
 # ---------------------------------------------------------------- UTIL
@@ -165,7 +156,7 @@ def test_rp_single_agent_equals_cut():
 def test_rp_matches_explicit_enumeration():
     rng = random.Random(41)
     for _ in range(10):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         U, z = rp_exact(P)
         n = P.n
         total = [F(0)] * P.m
@@ -187,7 +178,7 @@ def _nested_profiles(draw, max_agents=6):
     base = draw(st.lists(st.integers(1, (1 << m) - 1), min_size=1, max_size=3))
     pool = sorted({a & b for a in base for b in base} - {0})
     masks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=max_agents))
-    return Problem.from_rows(tuple(tuple(k >> a & 1 for a in range(m)) for k in masks))
+    return Problem(m, tuple((1, k) for k in masks))
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,7 +252,7 @@ def test_egal_is_leximin_on_small_instances():
     # LP-computable maximin sequence
     rng = random.Random(43)
     for _ in range(30):
-        P = _random_problem(rng, max_n=4, max_m=3)
+        P = random_problem(rng, max_n=4, max_m=3)
         U, z = egal_rule(P)
         assert utilities(P, z) == U
         # leximin optimality: no feasible profile has a lexicographically
@@ -373,7 +364,7 @@ def test_egal_matches_float_leximin_oracle(P):
 def test_egal_clone_invariance():
     rng = random.Random(47)
     for _ in range(25):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         i = rng.randrange(P.n)
         clone = Problem.from_rows(P.u + (P.u[i],))
         U, _ = egal_rule(P)
@@ -386,7 +377,7 @@ def test_egal_canonical_mixture_neutrality():
     # permuting columns permutes the representative mixture identically
     rng = random.Random(53)
     for _ in range(20):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         perm = list(range(P.m))
         rng.shuffle(perm)
         Q = Problem.from_rows(tuple(tuple(row[perm[a]] for a in range(P.m)) for row in P.u))
@@ -459,7 +450,7 @@ def test_nmp_single_agent():
 def test_nmp_residual_certificate_bound():
     rng = random.Random(59)
     for _ in range(15):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         sol = nmp_rule(P)
         assert sol.converged
         assert sol.kkt_residual <= rules.DEFAULT_NMP_TOL
@@ -539,7 +530,7 @@ def test_nmp_separation_inequality():
     # feasible profile; checked against random mixtures
     rng = random.Random(61)
     for _ in range(10):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         sol = nmp_rule(P)
         Ustar = utilities(P, sol.z)
         n = F(P.n)
@@ -559,7 +550,7 @@ def test_nmp_coalition_bound():
     # outcome a, up to tolerance
     rng = random.Random(67)
     for _ in range(10):
-        P = _random_problem(rng, max_n=6, max_m=4)
+        P = random_problem(rng, max_n=6, max_m=4)
         sol = nmp_rule(P)
         U = utilities(P, sol.z)
         n = F(P.n)
@@ -666,7 +657,7 @@ def test_rules_anonymity_and_neutrality():
     rng = random.Random(71)
     rule_ids = [UTIL, EGAL, CUT, RP, NMP]
     for _ in range(20):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         rperm = list(range(P.n))
         rng.shuffle(rperm)
         Pr = Problem.from_rows(tuple(P.u[rperm[i]] for i in range(P.n)))
@@ -693,7 +684,7 @@ def test_rules_anonymity_and_neutrality():
 def test_cut_and_rp_support_undominated_only():
     rng = random.Random(73)
     for _ in range(40):
-        P = _random_problem(rng, max_n=6, max_m=5)
+        P = random_problem(rng, max_n=6, max_m=5)
         undom = core.undominated_outcomes(P)
         for fn in (cut_rule, rp_exact):
             _, z = fn(P)
@@ -703,7 +694,7 @@ def test_cut_and_rp_support_undominated_only():
 def test_util_egal_nmp_outputs_efficient():
     rng = random.Random(79)
     for _ in range(25):
-        P = _random_problem(rng, max_n=5, max_m=4)
+        P = random_problem(rng, max_n=5, max_m=4)
         for rid in (UTIL, EGAL):
             U, z = evaluate(rid, P)
             assert core.is_efficient(P, U, source=z).passed is True

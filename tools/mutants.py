@@ -182,6 +182,31 @@ MUTANTS = [
      "if None in values.values():",
      "if False:",
      "tests/test_cli.py::test_construct_missing_params_names_them"),
+    # CUT family: a group-two window one outcome off, column supports kept
+    ("src/fairmix/generators.py",
+     "window(j, p - 1)",
+     "window(j + 1, p - 1)",
+     "tests/test_generators.py::test_cut_worstcase_example_instance"),
+    # RP family: an agent's block bit by its place in the block, not its block
+    ("src/fairmix/generators.py",
+     "masks = [1 << i // k for i in range(n)]",
+     "masks = [1 << i % k for i in range(n)]",
+     "tests/test_generators.py::test_rp_worstcase_shape"),
+    # run_grid: a cell's minimum stays at its first draw's ratio
+    ("src/fairmix/experiments.py",
+     "low[j] = min(low[j], ratio)",
+     "low[j] = low[j] if k else ratio",
+     "tests/test_experiments.py::test_run_grid_cells_are_the_min_and_mean_of_each_draw"),
+    # mask_row: bit 0 read as the last outcome instead of the first
+    ("src/fairmix/core.py",
+     'format(mask, f"0{m}b")[::-1]',
+     'format(mask, f"0{m}b")',
+     "tests/test_core.py::test_problem_round_trip"),
+    # _row_mask: a row's first entry read as its highest bit
+    ("src/fairmix/core.py",
+     'for x in reversed(row)), 2)',
+     'for x in row), 2)',
+     "tests/test_core.py::test_problem_round_trip"),
     # cut_bound: the cube root rounded down for n > 8 overstates the bound
     ("src/fairmix/generators.py",
      "c = _cbrt_rational(n, up=n > 8)",
