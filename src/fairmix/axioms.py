@@ -6,8 +6,9 @@ verdict carries a machine-checkable witness: the coalition, the misreport,
 or the improving mixture, with both sides of the violated inequality as
 exact rationals.  Numeric rules (NMP, h-rules) have a tie guard
 (``tie_guard``).  ``judge`` weighs each share axiom's misses (``SHARE_AXIOMS``)
-against it, SP and participation report near-ties within it as inconclusive
-(``passed is None``), and DEC passes a deviation within it.
+against it, SP and strict participation report near-ties within it as
+inconclusive (``passed is None``), and plain participation and DEC pass a
+deviation within it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from . import core, rules
 from .core import AxiomVerdict, Mixture, Problem, UtilityProfile, format_rational
-from .core import mask_outcomes, mask_row, require_profile_size, surplus_lp, utilities
+from .core import mask_outcomes, require_profile_size, surplus_lp, utilities
 
 __all__ = [
     "SpVariant",
@@ -322,7 +323,7 @@ def check_sp(rule: rules.RuleId, P: Problem, variant: SpVariant) -> AxiomVerdict
         for report in range(1, 1 << P.m):
             if report == truth or not admits(truth, report):
                 continue
-            _, zprime = rules.evaluate(rule, P.replace_row(i, mask_row(report, P.m)))
+            _, zprime = rules.evaluate(rule, P.replace_mask(i, report))
             payoff = zprime.weight_on(consumed(truth, report))
             gain = payoff - truthful_U[i]
             if gain > guard:
@@ -358,7 +359,7 @@ def check_participation(
 
     An agent's utility without her own ballot is her utility, under her true
     like-set, at the rule's representative mixture on the problem with her
-    row removed; the agents of one run all drop to the same problem, so a run
+    ballot removed; the agents of one run all drop to the same problem, so a run
     is judged once (a failure names its first agent, a near-tie its last).
     """
     if P.n < 2:
@@ -400,9 +401,11 @@ def check_dec(rule: rules.RuleId, P: Problem) -> AxiomVerdict:
         raise ValueError("no polarized structure: the problem is connected")
     guard = tie_guard(rule)
     U, _ = rules.evaluate(rule, P)
-    u = P.u
-    for k, (agents, outcomes) in enumerate(blocks):
-        sub = Problem.from_rows(tuple(tuple(u[i][a] for a in outcomes) for i in agents))
+    for k, (agents, _) in enumerate(blocks):
+        # the block's agents over all m outcomes: none likes another block's
+        # outcome and no rule weighs an outcome nobody likes, so exact rules
+        # give the block's own utilities (NMP's floats may differ in the guard)
+        sub = Problem(P.m, tuple((1, P.masks[i]) for i in agents))
         subU, _ = rules.evaluate(rule, sub)
         scale = Fraction(len(agents), P.n)
         for local, i in enumerate(agents):

@@ -45,6 +45,7 @@ __all__ = [
 DEFAULT_EPSILON_TOL = Fraction(1, 2**30)  # step of epsilon_inefficiency's grid
 MAX_EXPONENT = 1000  # Fraction builds 10**exponent exactly
 MAX_TYPED_AGENTS = 2_000_000  # per-agent views expand; appendix_sp0 has 1,227,856
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # the characters "0", "1" to bytes 0, 1
 
 
 def mask_outcomes(mask: int) -> tuple:
@@ -52,12 +53,9 @@ def mask_outcomes(mask: int) -> tuple:
     return tuple(a for a in range(mask.bit_length()) if mask >> a & 1)
 
 
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # the characters "0", "1" to bytes 0, 1
-
-
-def mask_row(mask: int, m: int) -> tuple:
-    """The 0/1 approval row of a like-mask over ``m`` outcomes."""
-    return tuple(format(mask, f"0{m}b")[::-1].encode().translate(_BIT_VALUES))
+def mask_text(mask: int, m: int) -> str:
+    """The "0"/"1" text of a like-mask over ``m`` outcomes, outcome 0 first."""
+    return format(mask, f"0{m}b")[::-1]
 
 
 @dataclass(frozen=True)
@@ -106,7 +104,8 @@ class Problem:
     @property
     def u(self) -> tuple:
         """The ``n x m`` 0/1 approval matrix."""
-        return tuple(mask_row(mask, self.m) for mask in self.masks)
+        rows = (mask_text(mask, self.m).encode() for mask in self.masks)
+        return tuple(tuple(row.translate(_BIT_VALUES)) for row in rows)
 
     def like_set(self, i: int) -> tuple:
         return mask_outcomes(self.like_mask(i))
@@ -147,10 +146,13 @@ class Problem:
         masks = self.masks[:i] + self.masks[i + 1:]
         return Problem(self.m, tuple((1, mask) for mask in masks))
 
-    def replace_row(self, i: int, row: Sequence[int]) -> "Problem":
+    def replace_mask(self, i: int, mask: int) -> "Problem":
         self._require_agent(i)
-        masks = self.masks[:i] + (_row_mask(i, row, self.m),) + self.masks[i + 1:]
+        masks = self.masks[:i] + (mask,) + self.masks[i + 1:]
         return Problem(self.m, tuple((1, mask) for mask in masks))
+
+    def replace_row(self, i: int, row: Sequence[int]) -> "Problem":
+        return self.replace_mask(i, _row_mask(i, row, self.m))
 
 
 def _row_mask(i: int, row: Sequence[int], m: int) -> int:
@@ -260,8 +262,7 @@ def parse_problem(text: str) -> Problem:
             parts = ln.split()
             if len(parts) != 2:
                 raise ValueError(f"malformed typed entry: {ln!r}")
-            like = _parse_bitstring_row(parts[1], m)
-            entries.append((int(parts[0]), sum(x << a for a, x in enumerate(like))))
+            entries.append((int(parts[0]), _parse_mask(parts[1], m)))
         P = Problem(m, tuple(entries))
         if P.n > MAX_TYPED_AGENTS:
             raise ValueError(f"typed profile has more than {MAX_TYPED_AGENTS} agents")
@@ -276,27 +277,29 @@ def parse_problem(text: str) -> Problem:
         raise ValueError("header must declare n >= 1 and m >= 1")
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} rows, found {len(lines) - 1}")
-    return Problem.from_rows(tuple(_parse_bitstring_row(ln, m) for ln in lines[1:]))
+    masks = [_parse_mask(ln, m) for ln in lines[1:]]
+    if 0 in masks:  # reported after every row's length and characters
+        raise ValueError(f"row {masks.index(0)} is all zeros (agent likes nothing)")
+    return Problem(m, tuple((1, mask) for mask in masks))
 
 
-def _parse_bitstring_row(s: str, m: int) -> tuple:
+def _parse_mask(s: str, m: int) -> int:
     if len(s) != m:
         raise ValueError(f"row {s!r} has length {len(s)}, expected {m}")
-    if any(ch not in "01" for ch in s):
+    if s.strip("01"):
         raise ValueError(f"row {s!r} contains characters outside {{0,1}}")
-    return tuple(int(ch) for ch in s)
+    return int(s[::-1], 2)
 
 
 def format_problem(P: Problem) -> str:
     lines = [f"{P.n} {P.m}"]
-    lines.extend("".join(str(x) for x in row) for row in P.u)
+    lines.extend(mask_text(mask, P.m) for mask in P.masks)
     return "\n".join(lines) + "\n"
 
 
 def format_typed_profile(P: Problem) -> str:
     lines = [f"typed {P.m}"]
-    for count, mask in P.entries:
-        lines.append(f"{count} {''.join(map(str, mask_row(mask, P.m)))}")
+    lines.extend(f"{count} {mask_text(mask, P.m)}" for count, mask in P.entries)
     return "\n".join(lines) + "\n"
 
 
@@ -432,7 +435,7 @@ def epsilon_inefficiency(P: Problem, U: UtilityProfile) -> Fraction:
     # variables z'_0..z'_{m-1}, t >= 0: maximize t s.t. u_i . z' - t * U_i >= 0,
     # one row per type at its largest U_i
     constraints = [
-        (mask_row(mask, P.m) + (-floor,), lp.GE, 0)
+        (tuple(mask >> a & 1 for a in range(P.m)) + (-floor,), lp.GE, 0)
         for _, mask, floor in _type_floors(P, U)
     ]
     constraints.append(((1,) * P.m + (0,), lp.EQ, 1))

@@ -207,20 +207,14 @@ WORST_CASE_FAMILIES = {
 }
 
 
-def _cbrt_rational(n: int, up: bool, digits: int = 9) -> Fraction:
-    """n**(1/3) rounded down, or up when ``up``, to the grid 10**-digits."""
-    scale = 10**digits
-    target = n * scale**3
-    lo, hi = 0, max(2, n)* scale
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**3 <= target:
-            lo = mid
-        else:
-            hi = mid - 1
-    if up and lo**3 < target:
-        lo += 1
-    return Fraction(lo, scale)
+def _cbrt_rational(n: int, up: bool) -> Fraction:
+    """n**(1/3) rounded down, or up when ``up``, to the grid 10**-9: integer
+    Newton from 2^ceil(bits/3), above the root, falls to the floor root."""
+    target = n * 10**27
+    root = 1 << -(-target.bit_length() // 3)
+    while (step := (2 * root + target // root**2) // 3) < root:
+        root = step
+    return Fraction(root + (up and root**3 < target), 10**9)
 
 
 def cut_bound(n: int) -> Fraction:

@@ -103,6 +103,18 @@ def test_agent_index_out_of_range():
     assert P.replace_row(2, (0, 1)).u == ((1, 0), (0, 1), (0, 1))
 
 
+def test_replace_mask_is_replace_row_of_its_row():
+    rng = random.Random(11)
+    for _ in range(100):
+        P = random_problem(rng, max_n=6, max_m=5)
+        i, mask = rng.randrange(P.n), rng.randrange(1, 1 << P.m)
+        row = tuple(mask >> a & 1 for a in range(P.m))
+        assert P.replace_mask(i, mask) == P.replace_row(i, row)
+        for bad in (-1, P.n):
+            with pytest.raises(ValueError, match="agent index"):
+                P.replace_mask(bad, mask)
+
+
 def test_like_mask_rejects_agent_index_out_of_range():
     P = Problem.from_rows(((1, 0), (0, 1)))
     for i in (-1, 5):
@@ -178,6 +190,22 @@ def test_parse_rejects_malformed():
     for text in ("", "2\n11\n11", "2 2\n111\n11", "2 2\n11", "x y\n1\n1"):
         with pytest.raises(ValueError):
             parse_problem(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 2\n111\n11", "row '111' has length 3, expected 2"),
+    ("2 2\n11\n1x", "row '1x' contains characters outside {0,1}"),
+    ("2 2\n11\n00", "row 1 is all zeros (agent likes nothing)"),
+    # every row's length and characters are checked before any all-zero row
+    ("2 2\n00\n1", "row '1' has length 1, expected 2"),
+    ("typed 2\n1 111", "row '111' has length 3, expected 2"),
+    ("typed 2\n1 1x", "row '1x' contains characters outside {0,1}"),
+    ("typed 2\n1 01\n1 00", "like-mask 0 outside 1 .. 2^2 - 1"),
+])
+def test_parse_error_messages(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_problem(text)
+    assert str(err.value) == message
 
 
 def test_parse_typed_format():

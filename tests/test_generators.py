@@ -144,6 +144,11 @@ def test_cut_bound_is_a_guarantee():
         assert cut_bound(n) <= _bound_at_safe_root(n), n
 
 
+def test_cut_bound_is_exact_at_perfect_cubes():
+    for c in (3, 4, 10):
+        assert cut_bound(c**3) == F(1, c**3) + (1 - F(1, c)) * F(3, c)
+
+
 def test_cut_bound_eventually_decreasing():
     values = [cut_bound(n) for n in (8, 16, 64, 512, 4096, 2**20)]
     assert all(a > b for a, b in zip(values, values[1:]))
@@ -167,6 +172,12 @@ def test_rp_worstcase_shape():
     assert P.column_sum(0) == 3 and P.column_sum(1) == 3
     for a in range(2, P.m):
         assert P.column_sum(a) == 2
+
+
+def test_rp_worstcase_round_trips_through_both_formats():
+    P = rp_worstcase(RpWorstCaseParams(k=10, d=3, ell=5))
+    assert parse_problem(format_problem(P)) == P
+    assert parse_problem(core.format_typed_profile(P)) == P
 
 
 def test_rp_worstcase_exact_masks():

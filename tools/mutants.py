@@ -197,21 +197,41 @@ MUTANTS = [
      "low[j] = min(low[j], ratio)",
      "low[j] = low[j] if k else ratio",
      "tests/test_experiments.py::test_run_grid_cells_are_the_min_and_mean_of_each_draw"),
-    # mask_row: bit 0 read as the last outcome instead of the first
+    # mask_text: bit 0 printed as the last outcome instead of the first
     ("src/fairmix/core.py",
      'format(mask, f"0{m}b")[::-1]',
      'format(mask, f"0{m}b")',
      "tests/test_core.py::test_problem_round_trip"),
+    # _parse_mask: a row's first character read as its highest bit
+    ("src/fairmix/core.py",
+     "return int(s[::-1], 2)",
+     "return int(s, 2)",
+     "tests/test_core.py::test_parse_dense_problem"),
+    # replace_mask: the new mask spliced in after agent i instead of over it
+    ("src/fairmix/core.py",
+     "masks = self.masks[:i] + (mask,) + self.masks[i + 1:]",
+     "masks = self.masks[:i + 1] + (mask,) + self.masks[i + 2:]",
+     "tests/test_core.py::test_agent_index_out_of_range"),
+    # DEC: each block's sub-problem holds every agent, not the block's
+    ("src/fairmix/axioms.py",
+     "tuple((1, P.masks[i]) for i in agents))",
+     "tuple((1, P.masks[i]) for i in range(P.n)))",
+     "tests/test_axioms.py::test_dec_pass_and_fail_on_polarized_pair"),
     # _row_mask: a row's first entry read as its highest bit
     ("src/fairmix/core.py",
      'for x in reversed(row)), 2)',
      'for x in row), 2)',
-     "tests/test_core.py::test_problem_round_trip"),
+     "tests/test_core.py::test_like_mask_rejects_agent_index_out_of_range"),
     # cut_bound: the cube root rounded down for n > 8 overstates the bound
     ("src/fairmix/generators.py",
      "c = _cbrt_rational(n, up=n > 8)",
      "c = _cbrt_rational(n, up=False)",
      "tests/test_generators.py::test_cut_bound_is_a_guarantee"),
+    # cut_bound: an exact cube root rounded up as well
+    ("src/fairmix/generators.py",
+     "root + (up and root**3 < target)",
+     "root + up",
+     "tests/test_generators.py::test_cut_bound_is_exact_at_perfect_cubes"),
 ]
 
 
