@@ -132,6 +132,17 @@ class Problem:
             counts[mask] = counts.get(mask, 0) + count
         return tuple((c, mask) for mask, c in counts.items())
 
+    @property
+    def outcome_classes(self) -> tuple:
+        """(outcomes, likers, support) per class of outcomes liked by the same
+        types, in order of first outcome: bit t of ``likers`` is set when
+        ``types[t]`` likes the class, and ``support`` counts those agents."""
+        types, classes = self.types, {}
+        for a in range(self.m):
+            likers = sum(1 << t for t, (_, mask) in enumerate(types) if mask >> a & 1)
+            classes.setdefault(likers, []).append(a)
+        return tuple((tuple(c), s, self.column_sum(c[0])) for s, c in classes.items())
+
     def column_sum(self, a: int) -> int:
         return sum(c for c, mask in self.entries if mask >> a & 1)
 
@@ -348,12 +359,13 @@ def utilities(P: Problem, z: Mixture) -> UtilityProfile:
 
 def undominated_outcomes(P: Problem) -> set:
     """Outcomes whose supporter set is not strictly contained in another's."""
-    supporters = [{i for i, x in enumerate(P.masks) if x >> a & 1} for a in range(P.m)]
-    result = set()
-    for a in range(P.m):
-        if not any(supporters[a] < supporters[b] for b in range(P.m)):
-            result.add(a)
-    return result
+    classes = P.outcome_classes  # a supporter set is the union of a liker mask's types
+    return {
+        a
+        for cls, mask, _ in classes
+        if not any(mask != other and mask | other == other for _, other, _ in classes)
+        for a in cls
+    }
 
 
 def require_profile_size(P: Problem, U: UtilityProfile) -> None:

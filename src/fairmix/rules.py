@@ -134,25 +134,10 @@ class HRuleSolution:
 # helpers
 
 
-def _outcome_classes(types, m: int):
-    """Outcomes liked by exactly the same types, as (outcomes, support) pairs.
-
-    Classes come in order of their first outcome; the support of a class is
-    the number of agents liking each of its outcomes.
-    """
-    groups: dict = {}
-    for a in range(m):
-        groups.setdefault(tuple(mask >> a & 1 for _, mask in types), []).append(a)
-    return [
-        (cls, sum(c for c, mask in types if mask >> cls[0] & 1))
-        for cls in groups.values()
-    ]
-
-
 def _best(classes) -> list:
-    """The classes of maximal support."""
-    top = max(support for _, support in classes)
-    return [cls for cls, support in classes if support == top]
+    """The outcomes of each ``Problem.outcome_classes`` class of maximal support."""
+    top = max(support for *_, support in classes)
+    return [cls for cls, _, support in classes if support == top]
 
 
 def _split(classes, weights, z: list) -> list:
@@ -179,7 +164,7 @@ def util_rule(P: Problem):
     Identical columns are collapsed into one class first, so duplicating an
     outcome never changes anybody's utility.
     """
-    best = _best(_outcome_classes(P.types, P.m))
+    best = _best(P.outcome_classes)
     z = _split(best, [Fraction(1, len(best))] * len(best), [0] * P.m)
     mix = Mixture(tuple(z))
     return utilities(P, mix), mix
@@ -191,11 +176,10 @@ def cut_rule(P: Problem):
     Each agent controls a 1/n share and spreads it uniformly over the
     distinct column classes of maximal support within her own like-set.
     """
-    types = P.types
-    classes = _outcome_classes(types, P.m)
+    classes = P.outcome_classes
     z = [0] * P.m
-    for count, mask in types:
-        best = _best([(cls, s) for cls, s in classes if mask >> cls[0] & 1])
+    for t, (count, _) in enumerate(P.types):
+        best = _best([c for c in classes if c[1] >> t & 1])
         _split(best, [Fraction(count, P.n * len(best))] * len(best), z)
     mix = Mixture(tuple(z))
     return utilities(P, mix), mix
@@ -294,10 +278,9 @@ def egal_rule(P: Problem):
     types and outcome classes: clones always share one utility, and only a
     class's total weight matters to anybody.
     """
-    types, m = P.types, P.m
-    classes = [cls for cls, _ in _outcome_classes(types, m)]
-    rows = [tuple(mask >> cls[0] & 1 for cls in classes) for _, mask in types]
-    k, width = len(rows), len(classes)
+    m, k, classes = P.m, len(P.types), P.outcome_classes
+    rows = [tuple(likers >> t & 1 for _, likers, _ in classes) for t in range(k)]
+    outcomes, width = [cls for cls, _, _ in classes], len(classes)
     simplex_row = ((1,) * width + (0,), lp.EQ, 1)
     objective = (0,) * width + (1,)
 
@@ -322,9 +305,9 @@ def egal_rule(P: Problem):
         frozen.update(dict.fromkeys(newly, t))
         unfrozen = [j for j in unfrozen if j not in frozen]
 
-    sizes = [len(cls) for cls in classes]
+    sizes = [len(cls) for cls in outcomes]
     w = _min_norm_weights(rows, [frozen[j] for j in range(k)], sizes, zstar)
-    mix = Mixture(tuple(_split(classes, w, [0] * m)))
+    mix = Mixture(tuple(_split(outcomes, w, [0] * m)))
     return utilities(P, mix), mix
 
 
@@ -389,25 +372,19 @@ def kkt_residual(P: Problem, z: Mixture) -> Fraction:
     unsupported ones it may not exceed n.  The returned rational is the worst
     violation; 0 certifies stationarity exactly.
     """
-    types, n, m = P.types, P.n, P.m
-    if z.m != m:
+    if z.m != P.m:
         raise ValueError("dimension mismatch")
     inv = []
-    for count, mask in types:
+    for count, mask in P.types:
         U = z.weight_on(mask)
         if U == 0:
             raise ValueError("kkt_residual needs every agent utility positive")
         inv.append(Fraction(count) / U)
-    residual = Fraction(0)
-    for a in range(m):
-        g = sum(
-            (inv[t] for t, (_, mask) in enumerate(types) if mask >> a & 1),
-            Fraction(0),
-        )
-        if z.z[a] > 0:
-            residual = max(residual, abs(g - n))
-        else:
-            residual = max(residual, g - n)
+    n, residual = P.n, Fraction(0)
+    for cls, likers, _ in P.outcome_classes:
+        g = sum((x for t, x in enumerate(inv) if likers >> t & 1), Fraction(0))
+        for a in cls:
+            residual = max(residual, abs(g - n) if z.z[a] > 0 else g - n)
     return residual
 
 
@@ -453,15 +430,11 @@ class _WelfareSolver:
 
     def __init__(self, P: Problem):
         types, self.n, self.m = P.types, P.n, P.m
-        masks = [mask for _, mask in types]
-        self.outcomes = [cls for cls, _ in _outcome_classes(types, self.m)]
-        self.liking = [
-            [t for t in range(len(masks)) if masks[t] >> group[0] & 1]
-            for group in self.outcomes
-        ]
+        classes, k = P.outcome_classes, len(types)
+        self.outcomes = [cls for cls, _, _ in classes]
+        self.liking = [[t for t in range(k) if s >> t & 1] for _, s, _ in classes]
         self.members = [
-            set(c for c, group in enumerate(self.outcomes) if mask >> group[0] & 1)
-            for mask in masks
+            set(c for c, (_, s, _) in enumerate(classes) if s >> t & 1) for t in range(k)
         ]
         self.counts = [float(c) for c, _ in types]
 

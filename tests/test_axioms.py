@@ -531,6 +531,8 @@ def _participation_by_agent(rule, P, strict):
     st.booleans(),
     st.sampled_from([None, F(1, 100)]),
 )
+# the runs' strict near-ties (1/2 against 49/99) end at agent 99, not 50
+@example(Problem(2, ((50, 1), (50, 2))), rules.CUT, True, F(1, 100))
 def test_participation_matches_agent_by_agent_oracle(P, rule, strict, guard):
     # a wide guard turns the exact ties of clones into near-ties
     tie_guard = axioms.tie_guard if guard is None else lambda rule: guard
@@ -538,6 +540,21 @@ def test_participation_matches_agent_by_agent_oracle(P, rule, strict, guard):
         verdict = check_participation(rule, P, strict=strict)
         expected = _participation_by_agent(rule, P, strict)
     assert (verdict.passed, verdict.witness) == expected
+
+
+def test_participation_fails_when_a_ballot_costs_its_agent(monkeypatch):
+    # no rule in the corpora fails participation, so a stub rule does: agent
+    # 0 gets 0 with its ballot and 1 without it
+    P = Problem(2, ((1, 0b01), (1, 0b10)))
+
+    def stub(rule, Q):
+        z = Mixture((F(0), F(1)) if Q == P else (F(1), F(0)))
+        return utilities(Q, z), z
+
+    monkeypatch.setattr(rules, "evaluate", stub)
+    verdict = check_participation(rules.CUT, P)
+    assert verdict.passed is False
+    assert verdict.witness == {"agent": 0, "with_ballot": 0, "without_ballot": 1}
 
 
 def test_participation_needs_two_agents():

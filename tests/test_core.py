@@ -157,6 +157,17 @@ def test_runs_agree_with_their_rows(runs, data):
     )
     assert P.types == tuple((len(agents), masks[agents[0]]) for agents in classes.values())
     assert [P.column_sum(a) for a in range(m)] == [sum(col) for col in zip(*rows)]
+    columns = {}
+    for a, col in enumerate(zip(*rows)):
+        columns.setdefault(col, []).append(a)
+    assert P.outcome_classes == tuple(
+        (
+            tuple(outcomes),
+            sum(1 << t for t, agents in enumerate(classes.values()) if col[agents[0]]),
+            sum(col),
+        )
+        for col, outcomes in columns.items()
+    )
     assert [P.like_mask(i) for i in range(len(rows))] == masks
     i = data.draw(st.integers(0, len(rows) - 1))
     mask = data.draw(st.integers(1, 2**m - 1))

@@ -6,10 +6,13 @@ Each argument is a directory holding the ``fairmix`` package (a tree's
 ``src``).  Both trees are imported into this one process, and each keeps
 its own module objects.  Every workload first runs once on each tree, and
 the sha256 of the ``repr`` of its outputs must agree, or the script exits 1
-before timing anything.  Then it alternates timed passes, parent first, and
-prints each pair's ratio (parent time over change time; above 1 means the
-change is faster) and their median.  Both trees share the host's drift, so
-a ratio resolves changes far smaller than the spread of separate runs.
+before timing anything.  Then it times ``--passes`` pairs, the parent first
+in even pairs and the change first in odd ones.  Each side of a pair is the
+minimum of ``REPEATS`` back-to-back runs of the pass, which drops a run the
+host slowed.  It prints each pair's ratio (parent time over change time;
+above 1 means the change is faster) and their median.  Both trees share the
+host's drift, so a ratio resolves changes far smaller than the spread of
+separate runs.
 
 Workloads:
 
@@ -34,6 +37,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import workloads  # noqa: E402
+
+REPEATS = 3  # runs of a pass per side of a pair; the pair keeps each side's fastest
 
 
 def load(tree):
@@ -71,6 +76,16 @@ def passes(fm):
     return {"egal": lambda: [rules.egal_rule(Q) for Q in draws], "exsp": exsp, "grid": grid}
 
 
+def fastest(run) -> float:
+    """The shortest of ``REPEATS`` back-to-back timings of ``run``."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -84,13 +99,9 @@ def main(argv=None) -> int:
             print(f"{name}: outputs differ, {digests[0][:12]} vs {digests[1][:12]}")
             return 1
         times = []
-        for _ in range(args.passes):
-            pair = []
-            for t in trees:
-                start = time.perf_counter()
-                t[name]()
-                pair.append(time.perf_counter() - start)
-            times.append(pair)
+        for k in range(args.passes):
+            pair = {side: fastest(trees[side][name]) for side in ((0, 1), (1, 0))[k % 2]}
+            times.append((pair[0], pair[1]))
         ratios = [a / b for a, b in times]
         print(f"{name}: sha256 {digests[0][:12]}, parent {statistics.median(a for a, _ in times):.2f} s, "
               f"change {statistics.median(b for _, b in times):.2f} s, ratios "

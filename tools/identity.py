@@ -10,7 +10,8 @@ It prints the record count and the sha256.  The corpus:
 - ``impartial_culture(2 + s % 6, 2 + (s // 6) % 4, 31000 + s)`` for
   s = 0 .. 239, plus every named fixture other than the two appendix860
   ones.  On each: ``evaluate`` under UTIL, CUT, RP, EGAL, NMP, HRULE(1/2)
-  and HRULE(-1), ``polarized_partition``, and every ``like_set(i)``.
+  and HRULE(-1), ``polarized_partition``, the sorted
+  ``undominated_outcomes`` and every ``like_set(i)``.
 - Where n <= 6 and m <= 4, under UTIL, CUT, RP, EGAL and NMP: the five
   ``check_sp`` variants, plain and strict participation, IFS, UFS, GFS, AFS,
   CFS, ``is_efficient(source=z)``, ``check_dec`` (or its error text), and
@@ -167,6 +168,7 @@ def records():
         for rule in EVALUATED:
             yield (name, "evaluate", str(rule)), rules.evaluate(rule, P)
         yield (name, "polarized"), axioms.polarized_partition(P)
+        yield (name, "undominated"), sorted(core.undominated_outcomes(P))
         yield (name, "like_sets"), tuple(P.like_set(i) for i in range(P.n))
         if P.n <= 6 and P.m <= 4:
             for key, value in _checks(P):

@@ -69,14 +69,19 @@ MUTANTS = [
      "tests/test_rules.py::test_egal_mixture_is_the_minimum_norm_one"),
     # UTIL: spread over every outcome class, not only the maximal-support ones
     ("src/fairmix/rules.py",
-     "best = _best(_outcome_classes(P.types, P.m))",
-     "best = [cls for cls, _ in _outcome_classes(P.types, P.m)]",
+     "best = _best(P.outcome_classes)",
+     "best = [cls for cls, _, _ in P.outcome_classes]",
      "tests/test_rules.py::test_util_ex3_point_mass_on_d"),
     # CUT: a type's share ignores its count
     ("src/fairmix/rules.py",
      "[Fraction(count, P.n * len(best))]",
      "[Fraction(1, P.n * len(best))]",
      "tests/test_rules.py::test_cut_clones_share_by_count"),
+    # CUT: every type picks among the classes of type 0's like-set
+    ("src/fairmix/rules.py",
+     "if c[1] >> t & 1]",
+     "if c[1] & 1]",
+     "tests/test_rules.py::test_cut_ex3"),
     # RP: live moves weighted by 1 instead of by their type's count
     ("src/fairmix/rules.py",
      "live = [(c, feasible & mask) for c, mask in types]",
@@ -84,8 +89,8 @@ MUTANTS = [
      "tests/test_rules.py::test_rp_matches_explicit_enumeration"),
     # kkt_residual: a gradient deficit on a supported outcome goes unseen
     ("src/fairmix/rules.py",
-     "residual = max(residual, abs(g - n))",
-     "residual = max(residual, g - n)",
+     "max(residual, abs(g - n) if",
+     "max(residual, g - n if",
      "tests/test_rules.py::test_kkt_residual_counts_a_deficit_on_a_supported_outcome"),
     # NMP: no resume from the snapped class weights
     ("src/fairmix/rules.py",
@@ -127,6 +132,11 @@ MUTANTS = [
      "SpVariant.SP_MINUS: (lambda t, r: r | t == t, lambda t, r: r)",
      "SpVariant.SP_MINUS: (lambda t, r: r | t == t, lambda t, r: t)",
      "tests/test_axioms.py::test_check_sp_matches_misreport_walk_oracle"),
+    # participation: an agent whose ballot lowers its utility is never caught
+    ("src/fairmix/axioms.py",
+     "        if U[i] < absent - guard:",
+     "        if False:",
+     "tests/test_axioms.py::test_participation_fails_when_a_ballot_costs_its_agent"),
     # strict participation: an exact tie becomes a near-tie, not a failure
     ("src/fairmix/axioms.py",
      "            if U[i] <= absent - guard:",
@@ -136,6 +146,11 @@ MUTANTS = [
     ("src/fairmix/axioms.py",
      "near_tie = dict(witness, agent=end - 1)",
      "near_tie = witness",
+     "tests/test_axioms.py::test_participation_matches_agent_by_agent_oracle"),
+    # participation: a near-tie names the agent dropped, not the run's last
+    ("src/fairmix/axioms.py",
+     "agent=end - 1)",
+     "agent=i)",
      "tests/test_axioms.py::test_participation_matches_agent_by_agent_oracle"),
     # SP: the exact-rule cap counts agents again instead of agent types
     ("src/fairmix/axioms.py",
@@ -147,6 +162,16 @@ MUTANTS = [
      "if abs(U[i] - expected) > guard:",
      "if U[i] - expected > guard:",
      "tests/test_axioms.py::test_dec_witness_is_the_first_agent_off_its_block_share"),
+    # outcome_classes: outcomes grouped by their support, not by their likers
+    ("src/fairmix/core.py",
+     "classes.setdefault(likers, [])",
+     "classes.setdefault(self.column_sum(a), [])",
+     "tests/test_core.py::test_runs_agree_with_their_rows"),
+    # undominated_outcomes: every class strictly dominates itself
+    ("src/fairmix/core.py",
+     "mask != other and mask | other == other",
+     "mask | other == other",
+     "tests/test_core.py::test_undominated_ex3"),
     # Problem: adjacent runs with one mask are not merged
     ("src/fairmix/core.py",
      "            if runs and runs[-1][1] == mask:",
