@@ -335,7 +335,7 @@ def _min_norm_weights(rows, vals, sizes, start) -> list:
         # w_eq = sizes * grad, the same for every solution lambda
         gram = [[sum(sizes[a] * r1[a] * r2[a] for a in free) for r2 in B] for r1 in B]
         lam = lp.solve_linear(gram, c)
-        grad = [sum(y * row[a] for y, row in zip(lam, B)) for a in range(k)]
+        grad = [sum(y for y, row in zip(lam, B) if row[a]) for a in range(k)]
         w_eq = [Fraction(0) if a in working else sizes[a] * grad[a] for a in range(k)]
         if all(w_eq[a] >= 0 for a in free):
             # dual check on the working set: mu_a = -grad_a >= 0
@@ -515,38 +515,42 @@ class _WelfareSolver:
         """Run from class weights ``zf`` (default: the uniform mixture).
 
         Multiplicative step z_c <- z_c * g_c / lambda, averaged with the
-        previous iterate whenever the objective fails to increase.  Every 25
-        iterations, once the residual is below lambda/10, Newton refinement
-        tries to polish the iterate; a wrong support guess reseeds the
-        violating classes.  The stop test is a stationarity residual of at
-        most ``DEFAULT_NMP_TOL``/2 in units of lambda/n (1 for the log
-        family); class weights that repeat at a Newton checkpoint stop the
-        run.  Returns the class weights with those at most ``_SNAP`` zeroed,
-        the iteration count, and whether the stop test passed.
+        previous iterate whenever the objective fails to increase.  The
+        utilities of an accepted iterate carry into the next residual; only
+        a Newton reseed recomputes them.  Every 25 iterations, once the
+        residual is below lambda/10, Newton refinement tries to polish the
+        iterate; a wrong support guess reseeds the violating classes.  The
+        stop test is a stationarity residual of at most ``DEFAULT_NMP_TOL``/2
+        in units of lambda/n (1 for the log family); class weights that
+        repeat at a Newton checkpoint stop the run.  Returns the class
+        weights with those at most ``_SNAP`` zeroed, the iteration count, and
+        whether the stop test passed.
         """
-        members, liking, n = self.members, self.liking, self.n
+        liking, n = self.liking, self.n
+        # in each set's own order: golden digests pin NMP's float sums
+        groups = [list(group) for group in self.members]
         tol_f = float(DEFAULT_NMP_TOL)
         zf = zf or [len(group) / self.m for group in self.outcomes]
 
         def util(zz):
-            return [max(sum(zz[c] for c in group), 1e-300) for group in members]
+            return [max(sum(map(zz.__getitem__, group)), 1e-300) for group in groups]
 
-        def residual(zz):
-            U = util(zz)
+        def residual(zz, U):
             w, lam = self.weights(U), self.multiplier(U)
-            g = [sum(w[t] for t in types) for types in liking]
+            g = [sum(map(w.__getitem__, types)) for types in liking]
             res = 0.0
             for c, gc in enumerate(g):
                 res = max(res, abs(gc - lam) if zz[c] > _SNAP else gc - lam)
             return res, g, lam
 
-        obj = self.objective(util(zf))
+        U = util(zf)
+        obj = self.objective(U)
         iterations = 0
         converged = False
         checkpoints = set()
         while iterations < _ITERATION_CAP:
             iterations += 1
-            res, g, lam = residual(zf)
+            res, g, lam = residual(zf, U)
             if res <= tol_f * 0.5 * (lam / n):
                 converged = True
                 break
@@ -558,7 +562,7 @@ class _WelfareSolver:
                 if res < 1e-1 * lam:
                     refined = self.newton(zf)
                     if refined is not None:
-                        ref_res, ref_g, ref_lam = residual(refined)
+                        ref_res, ref_g, ref_lam = residual(refined, util(refined))
                         if ref_res <= tol_f * 0.5 * (ref_lam / n):
                             zf, converged = refined, True
                             break
@@ -571,16 +575,19 @@ class _WelfareSolver:
                             ]
                             total = sum(zf)
                             zf = [x / total for x in zf]
-                            obj = self.objective(util(zf))
+                            U = util(zf)
+                            obj = self.objective(U)
                             continue
             cand = [x * gc / lam for x, gc in zip(zf, g)]
             total = sum(cand)
             cand = [x / total for x in cand]
-            cand_obj = self.objective(util(cand))
+            cand_U = util(cand)
+            cand_obj = self.objective(cand_U)
             if cand_obj < obj or (self.damp_on_tie and cand_obj == obj):
                 cand = [(x + y) / 2 for x, y in zip(zf, cand)]
-                cand_obj = self.objective(util(cand))
-            zf, obj = cand, cand_obj
+                cand_U = util(cand)
+                cand_obj = self.objective(cand_U)
+            zf, U, obj = cand, cand_U, cand_obj
         zf = [0.0 if x <= _SNAP else x for x in zf]
         total = sum(zf)
         return [x / total for x in zf], iterations, converged

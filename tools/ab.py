@@ -18,6 +18,7 @@ Workloads:
 
 - ``egal``: ``egal_rule`` on criterion 08's seed-0 draws (n in 3, 5, 7,
   m in 3, 5, 100 draws a cell);
+- ``nmp``: ``nmp_rule`` on the same draws;
 - ``exsp``: ``check_sp`` of EGAL under EXSP on ``impartial_culture(6, 5,
   12345)``, the memo cleared first;
 - ``grid``: the ops of one pass of perfbench's ``grid`` workload at seed 1,
@@ -73,7 +74,8 @@ def passes(fm):
         rules.evaluate.cache_clear()
         return [call() for _, _, call in ops]
 
-    return {"egal": lambda: [rules.egal_rule(Q) for Q in draws], "exsp": exsp, "grid": grid}
+    return {"egal": lambda: [rules.egal_rule(Q) for Q in draws],
+            "nmp": lambda: [rules.nmp_rule(Q) for Q in draws], "exsp": exsp, "grid": grid}
 
 
 def fastest(run) -> float:

@@ -67,6 +67,11 @@ MUTANTS = [
      "    k = len(sizes)\n",
      "    k = len(sizes)\n    sizes = [1] * k\n",
      "tests/test_rules.py::test_egal_mixture_is_the_minimum_norm_one"),
+    # EGAL: the min-norm gradient drops the simplex row's multiplier
+    ("src/fairmix/rules.py",
+     "zip(lam, B) if row[a]",
+     "zip(lam[1:], B[1:]) if row[a]",
+     "tests/test_rules.py::test_egal_true_profile"),
     # UTIL: spread over every outcome class, not only the maximal-support ones
     ("src/fairmix/rules.py",
      "best = _best(P.outcome_classes)",
@@ -97,6 +102,16 @@ MUTANTS = [
      "if converged and residual > DEFAULT_NMP_TOL:",
      "if False:",
      "tests/test_rules.py::test_nmp_certifies_after_snapping"),
+    # welfare solver: an accepted step keeps the previous iterate's utilities
+    ("src/fairmix/rules.py",
+     "zf, U, obj = cand, cand_U, cand_obj",
+     "zf, obj = cand, cand_obj",
+     "tests/test_rules.py::test_nmp_bits_on_criterion_08_draws"),
+    # welfare solver: a Newton reseed keeps the utilities from before it
+    ("src/fairmix/rules.py",
+     "U = util(zf)\n                            obj = self.objective(U)",
+     "obj = self.objective(util(zf))",
+     "tests/test_rules.py::test_hrule_newton_on_electorate"),
     # IFS: an agent exactly at 1/n fails
     ("src/fairmix/axioms.py",
      "    for i in range(P.n):\n        if U[i] < share:",
