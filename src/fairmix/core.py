@@ -179,26 +179,34 @@ def _row_mask(i: int, row: Sequence[int], m: int) -> int:
 
 @dataclass(frozen=True)
 class Mixture:
-    """A point of the outcome simplex, coordinates exact and summing to 1."""
+    """A point of the outcome simplex, coordinates exact and summing to 1;
+    ``numerators`` are the coordinates times their lcm ``denominator``."""
 
     z: tuple  # tuple of Fractions
 
     def __post_init__(self) -> None:
-        z = tuple(Fraction(x) for x in self.z)
+        z = tuple(x if type(x) is Fraction else Fraction(x) for x in self.z)
         object.__setattr__(self, "z", z)
-        if any(x < 0 for x in z):
+        numerators, denominator = lp._over_lcm(z)
+        if any(x < 0 for x in numerators):
             raise ValueError("mixture coordinates must be nonnegative")
-        if sum(z) != 1:
+        if sum(numerators) != denominator:
             raise ValueError("mixture coordinates must sum to exactly 1")
+        object.__setattr__(self, "numerators", tuple(numerators))
+        object.__setattr__(self, "denominator", denominator)
 
     @property
     def m(self) -> int:
         return len(self.z)
 
+    def numerator_on(self, mask: int) -> int:
+        """``weight_on(mask)`` times ``denominator``: an integer."""
+        return sum(x for a, x in enumerate(self.numerators) if mask >> a & 1)
+
     def weight_on(self, mask: int) -> Fraction:
-        """Total weight on the outcomes of the like-mask ``mask`` (zeros skipped)."""
-        liked = (x for a, x in enumerate(self.z) if x and mask >> a & 1)
-        return sum(liked, Fraction(0))
+        """Total weight on the outcomes of the like-mask ``mask``, as one
+        ``Fraction``: their numerators summed, over ``denominator``."""
+        return Fraction(self.numerator_on(mask), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -208,7 +216,7 @@ class UtilityProfile:
     U: tuple
 
     def __post_init__(self) -> None:
-        U = tuple(Fraction(x) for x in self.U)
+        U = tuple(x if type(x) is Fraction else Fraction(x) for x in self.U)
         object.__setattr__(self, "U", U)
         if any(x < 0 or x > 1 for x in U):
             raise ValueError("utilities must lie in [0, 1]")
@@ -351,10 +359,12 @@ def format_mixture(z: Mixture) -> str:
 
 
 def utilities(P: Problem, z: Mixture) -> UtilityProfile:
-    """Exact utilities ``U_i = u_i . z``."""
+    """Exact utilities ``U_i = u_i . z``: one ``weight_on`` per type, looked up
+    per agent."""
     if z.m != P.m:
         raise ValueError(f"dimension mismatch: problem has m={P.m}, mixture m={z.m}")
-    return UtilityProfile(tuple(z.weight_on(mask) for mask in P.masks))
+    value = {mask: z.weight_on(mask) for _, mask in P.types}
+    return UtilityProfile(tuple(map(value.__getitem__, P.masks)))
 
 
 def undominated_outcomes(P: Problem) -> set:

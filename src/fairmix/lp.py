@@ -81,7 +81,7 @@ class LpOutcome:
 
 def _over_lcm(values):
     """``values`` times the lcm ``s`` of their denominators, as ints, and ``s``."""
-    values = [x if isinstance(x, int) else Fraction(x) for x in values]
+    values = [x if type(x) in (int, Fraction) else Fraction(x) for x in values]
     s = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (s // x.denominator) for x in values], s
 

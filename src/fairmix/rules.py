@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import lp
-from .core import Mixture, Problem, utilities
+from .core import Mixture, Problem, mask_outcomes, utilities
 
 __all__ = [
     "RuleId",
@@ -243,24 +243,29 @@ def rp_exact(P: Problem):
     like-sets split F, drawn by type and weighted by count; the DP needs no
     record of who has passed.  Its states are counted first, and a profile
     over ``RP_STEP_BUDGET`` is refused before any rational arithmetic; the
-    rule is #P-hard in general.  States are filled smallest first, as every
-    move leads to a strict subset.
+    rule is #P-hard in general.
+
+    The DP carries one number per state, the probability that the walk
+    reaches F.  Every move leads to a strict subset, so walking the states
+    largest first finishes a state's reach before it is passed on: each move
+    adds the state's reach times its type's share.  A state with no live
+    move ends the walk, and its reach is spread uniformly over F.
     """
     m = P.m
     moves = _rp_moves(P.types, m)
-    average = {}
-    for feasible in sorted(moves, key=int.bit_count):
-        live = moves[feasible]
+    reach = {(1 << m) - 1: Fraction(1)}
+    z = [Fraction(0)] * m
+    for feasible in sorted(moves, key=int.bit_count, reverse=True):
+        p, live = reach[feasible], moves[feasible]
         if not live:
-            average[feasible] = _uniform_on(feasible, m)
+            share = p / feasible.bit_count()
+            for a in mask_outcomes(feasible):
+                z[a] += share
             continue
-        total = [Fraction(0)] * m
+        p /= sum(c for c, _ in live)
         for c, nxt in live:
-            for a, x in enumerate(average[nxt]):
-                total[a] += c * x
-        weight = sum(c for c, _ in live)
-        average[feasible] = tuple(x / weight for x in total)
-    mix = Mixture(average[(1 << m) - 1])
+            reach[nxt] = reach.get(nxt, 0) + p * c
+    mix = Mixture(tuple(z))
     return utilities(P, mix), mix
 
 
@@ -374,29 +379,28 @@ def kkt_residual(P: Problem, z: Mixture) -> Fraction:
     """
     if z.m != P.m:
         raise ValueError("dimension mismatch")
-    inv = []
-    for count, mask in P.types:
-        U = z.weight_on(mask)
-        if U == 0:
-            raise ValueError("kkt_residual needs every agent utility positive")
-        inv.append(Fraction(count) / U)
-    n, residual = P.n, Fraction(0)
+    # U_t = N_t / den, so count_t / U_t = den * count_t / N_t: every class
+    # gradient is an integer over the lcm of the N_t, and so is the residual
+    types, den = P.types, z.denominator
+    N = [z.numerator_on(mask) for _, mask in types]
+    if 0 in N:
+        raise ValueError("kkt_residual needs every agent utility positive")
+    lcm = math.lcm(*N)
+    inv = [count * (lcm // u) for (count, _), u in zip(types, N)]
+    n, worst = P.n * lcm, 0
     for cls, likers, _ in P.outcome_classes:
-        g = sum((x for t, x in enumerate(inv) if likers >> t & 1), Fraction(0))
-        for a in cls:
-            residual = max(residual, abs(g - n) if z.z[a] > 0 else g - n)
-    return residual
+        gap = den * sum(x for t, x in enumerate(inv) if likers >> t & 1) - n
+        worst = max(worst, abs(gap) if any(z.numerators[a] for a in cls) else gap)
+    return Fraction(worst, lcm)
 
 
 def _float_to_mixture(zf, m: int) -> Mixture:
     """Round floats to dyadic rationals that sum to exactly 1."""
     scale = 1 << 52
     ints = [max(0, round(x * scale)) for x in zf]
-    coords = [Fraction(v, scale) for v in ints]
-    drift = 1 - sum(coords)
-    top = max(range(m), key=lambda a: coords[a])
-    coords[top] += drift
-    return Mixture(tuple(coords))
+    top = max(range(m), key=ints.__getitem__)
+    ints[top] += scale - sum(ints)  # the rounding drift
+    return Mixture(tuple(Fraction(v, scale) for v in ints))
 
 
 def _solve_dense_float(A, b):

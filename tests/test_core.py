@@ -69,6 +69,23 @@ def test_mixture_must_sum_to_one():
         Mixture((F(1, 2), F(1, 3)))
     with pytest.raises(ValueError):
         Mixture((F(3, 2), F(-1, 2)))
+    # ints and floats are checked exactly too
+    with pytest.raises(ValueError, match="nonnegative"):
+        Mixture((2, -1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Mixture((1.5, -0.5))
+    with pytest.raises(ValueError, match="exactly 1"):
+        Mixture((1, 1))
+    with pytest.raises(ValueError, match="exactly 1"):
+        Mixture((0.1, 0.9))  # 1.0 in floats, 1 + 2^-55 exactly
+    assert Mixture((0, 0.25, 0.75)).z == (F(0), F(1, 4), F(3, 4))
+
+
+def test_mixture_keeps_its_fraction_coordinates():
+    x = F(1, 3)
+    z = Mixture((x, F(2, 3)))
+    assert z.z[0] is x
+    assert z.weight_on(0b01) == x and z.weight_on(0b11) == 1
 
 
 def test_utility_profile_range():

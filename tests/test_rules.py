@@ -522,6 +522,51 @@ def test_typed_profile_agrees_with_its_expansion(T):
     assert utilities(P, z).U == tuple(rows)
 
 
+@st.composite
+def _typed_with_mixture(draw):
+    """A ``_typed_with_repeats`` profile and a mixture over it whose
+    coordinates have mixed, mostly non-dyadic denominators, and some zeros."""
+    T = draw(_typed_with_repeats())
+    weights = draw(st.lists(st.integers(0, 6), min_size=T.m, max_size=T.m).filter(any))
+    return T, Mixture(tuple(F(w, sum(weights)) for w in weights))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_typed_with_mixture())
+def test_utilities_match_the_per_agent_rows(case):
+    T, z = case
+    rows = [sum((x for x, bit in zip(z.z, row) if bit), F(0)) for row in T.u]
+    assert utilities(T, z).U == tuple(rows)
+
+
+def _kkt_oracle(P, z):
+    """The residual in ``Fraction``s, per outcome: count / U_t per type, and
+    each outcome's gradient summed over the types that like it."""
+    inv = []
+    for count, mask in P.types:
+        U = sum((x for a, x in enumerate(z.z) if mask >> a & 1), F(0))
+        if U == 0:
+            return None
+        inv.append(F(count) / U)
+    residual = F(0)
+    for a, x in enumerate(z.z):
+        g = sum((y for (_, mask), y in zip(P.types, inv) if mask >> a & 1), F(0))
+        residual = max(residual, abs(g - P.n) if x > 0 else g - P.n)
+    return residual
+
+
+@settings(max_examples=200, deadline=None)
+@given(_typed_with_mixture())
+def test_kkt_residual_matches_the_fraction_oracle(case):
+    T, z = case
+    expected = _kkt_oracle(T, z)
+    if expected is None:
+        with pytest.raises(ValueError):
+            kkt_residual(T, z)
+    else:
+        assert kkt_residual(T, z) == expected
+
+
 def test_kkt_residual_trivial():
     P = Problem.from_rows(((1, 1),))
     assert kkt_residual(P, Mixture((F(1, 2), F(1, 2)))) == 0

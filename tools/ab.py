@@ -22,7 +22,10 @@ Workloads:
 - ``exsp``: ``check_sp`` of EGAL under EXSP on ``impartial_culture(6, 5,
   12345)``, the memo cleared first;
 - ``grid``: the ops of one pass of perfbench's ``grid`` workload at seed 1,
-  the memo cleared first.
+  the memo cleared first;
+- ``rp``: ``rp_exact`` on criterion 08's seed-0 draws;
+- ``audit``: the ops of one pass of perfbench's ``audit`` workload at seed
+  1, the memo cleared first.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def load(tree):
     sys.path.insert(0, str(Path(tree).resolve()))
     try:
         fm = types.SimpleNamespace(**{m: importlib.import_module("fairmix." + m)
-                                      for m in ("axioms", "experiments", "rules")})
+                                      for m in ("axioms", "cli", "core", "experiments", "rules")})
     finally:
         del sys.path[0]
         forget()
@@ -64,18 +67,21 @@ def passes(fm):
     draws = [ex.impartial_culture(n, m, ex._subseed(0, n, m, k))
              for n in (3, 5, 7) for m in (3, 5) for k in range(100)]
     P = ex.impartial_culture(6, 5, 12345)
-    ops = next(workloads.grid_stream(fm, 1, []))
+    grid_ops = next(workloads.grid_stream(fm, 1, []))
+    audit_ops = next(workloads.audit_stream(fm, 1, []))
 
     def exsp():
         rules.evaluate.cache_clear()
         return fm.axioms.check_sp(rules.EGAL, P, fm.axioms.SpVariant.EXSP)
 
-    def grid():
+    def run_ops(ops):
         rules.evaluate.cache_clear()
         return [call() for _, _, call in ops]
 
     return {"egal": lambda: [rules.egal_rule(Q) for Q in draws],
-            "nmp": lambda: [rules.nmp_rule(Q) for Q in draws], "exsp": exsp, "grid": grid}
+            "nmp": lambda: [rules.nmp_rule(Q) for Q in draws], "exsp": exsp,
+            "grid": lambda: run_ops(grid_ops), "rp": lambda: [rules.rp_exact(Q) for Q in draws],
+            "audit": lambda: run_ops(audit_ops)}
 
 
 def fastest(run) -> float:

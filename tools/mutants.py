@@ -92,10 +92,30 @@ MUTANTS = [
      "live = [(c, feasible & mask) for c, mask in types]",
      "live = [(1, feasible & mask) for c, mask in types]",
      "tests/test_rules.py::test_rp_matches_explicit_enumeration"),
+    # RP: states walked smallest first, before their reach is complete
+    ("src/fairmix/rules.py",
+     "key=int.bit_count, reverse=True)",
+     "key=int.bit_count)",
+     "tests/test_rules.py::test_rp_matches_explicit_enumeration"),
+    # weight_on: the numerators over one coordinate's denominator, not their lcm
+    ("src/fairmix/core.py",
+     "Fraction(self.numerator_on(mask), self.denominator)",
+     "Fraction(self.numerator_on(mask), self.z[-1].denominator)",
+     "tests/test_rules.py::test_utilities_match_the_per_agent_rows"),
+    # kkt_residual: the class gradients without the mixture's denominator
+    ("src/fairmix/rules.py",
+     "gap = den * sum(",
+     "gap = sum(",
+     "tests/test_rules.py::test_kkt_residual_matches_the_fraction_oracle"),
+    # NMP rounding: the drift put on coordinate 0, not on the largest one
+    ("src/fairmix/rules.py",
+     "ints[top] += scale - sum(ints)",
+     "ints[0] += scale - sum(ints)",
+     "tests/test_rules.py::test_nmp_bits_on_criterion_08_draws"),
     # kkt_residual: a gradient deficit on a supported outcome goes unseen
     ("src/fairmix/rules.py",
-     "max(residual, abs(g - n) if",
-     "max(residual, g - n if",
+     "max(worst, abs(gap) if",
+     "max(worst, gap if",
      "tests/test_rules.py::test_kkt_residual_counts_a_deficit_on_a_supported_outcome"),
     # NMP: no resume from the snapped class weights
     ("src/fairmix/rules.py",
