@@ -125,9 +125,9 @@ def _eff_misses(P: Problem, U: UtilityProfile, z: Mixture):
 def _ifs_misses(P: Problem, U: UtilityProfile, z=None):
     require_profile_size(P, U)
     share = Fraction(1, P.n)
-    for i in range(P.n):
-        if U[i] < share:
-            yield share - U[i], {"agent": i, "utility": U[i], "required": share}
+    for (_, members), x in zip(P.clone_classes, U.values):
+        if x < share:
+            yield share - x, {"agent": members[0], "utility": x, "required": share}
 
 
 def check_ifs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
@@ -137,16 +137,11 @@ def check_ifs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
 
 def _ufs_misses(P: Problem, U: UtilityProfile, z=None):
     require_profile_size(P, U)
-    for _, members in P.clone_classes:
+    for (_, members), x in zip(P.clone_classes, U.values):
         share = Fraction(len(members), P.n)
-        for i in members:
-            if U[i] < share:
-                yield share - U[i], {
-                    "agent": i,
-                    "clone_class": members,
-                    "utility": U[i],
-                    "required": share,
-                }
+        if x < share:
+            witness = {"agent": members[0], "clone_class": members, "utility": x}
+            yield share - x, dict(witness, required=share)
 
 
 def check_ufs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
@@ -240,11 +235,10 @@ def check_afs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
 def _cfs_misses(P: Problem, U: UtilityProfile, z=None):
     require_profile_size(P, U)
     coalitions = _clone_closed_coalitions(P)
-    if any(U[i] != U[agents[0]] for _, agents in P.clone_classes for i in agents):
-        raise ValueError("clones must have equal utilities")
+    value = {mask: x for _, mask, x in U.per_type}
     for size, coalition in coalitions:
         share = Fraction(size, P.n)
-        floors = [(len(agents), mask, U[agents[0]]) for mask, agents in coalition]
+        floors = [(len(agents), mask, value[mask]) for mask, agents in coalition]
         support = [sum(c for c, mask, _ in floors if mask >> a & 1) for a in range(P.m)]
         base = sum((c * floor for c, _, floor in floors), _ZERO)
         # cheap upper bound on the LP optimum: the objective is linear in z',
@@ -269,8 +263,8 @@ def check_cfs(P: Problem, U: UtilityProfile) -> AxiomVerdict:
     Coalition S blocks if a mixture z' gives every member i at least
     U_i / (|S|/n), one strictly more - equivalently the per-coalition LP
     below has a positive optimum.  Clones get equal utility from every
-    mixture, and ``U`` must give them equal utility too (else ``ValueError``).
-    Then adding a blocker's clones to S keeps every floor met at the same z'
+    mixture, and ``U`` holds one utility per type.  Then adding a blocker's
+    clones to S keeps every floor met at the same z'
     and does not lower the surplus, so only the clone-closed coalitions are
     checked, each by an LP with one row per clone class.  With all like-sets
     distinct these are all coalitions, by size and then lexicographically.

@@ -209,27 +209,46 @@ class Mixture:
         return Fraction(self.numerator_on(mask), self.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class UtilityProfile:
-    """Per-agent utilities in ``[0, 1]``, exact rationals."""
+    """Utilities in ``[0, 1]``, exact rationals, one per agent type: every
+    agent of ``problem.types[t]`` gets ``values[t]``, so clones agree."""
 
-    U: tuple
+    problem: Problem
+    values: tuple  # tuple of Fractions, in ``problem.types`` order
 
     def __post_init__(self) -> None:
-        U = tuple(x if type(x) is Fraction else Fraction(x) for x in self.U)
-        object.__setattr__(self, "U", U)
-        if any(x < 0 or x > 1 for x in U):
+        values = tuple(x if type(x) is Fraction else Fraction(x) for x in self.values)
+        object.__setattr__(self, "values", values)
+        if len(values) != len(self.problem.types):
+            raise ValueError("utility profile needs one value per agent type")
+        if any(x < 0 or x > 1 for x in values):
             raise ValueError("utilities must lie in [0, 1]")
 
     @property
-    def n(self) -> int:
-        return len(self.U)
+    def per_type(self) -> tuple:
+        """(count, like-mask, utility) per type, in ``problem.types`` order."""
+        types = self.problem.types
+        return tuple((c, mask, x) for (c, mask), x in zip(types, self.values))
+
+    @cached_property
+    def U(self) -> tuple:
+        """Each agent's utility."""
+        value = {mask: x for _, mask, x in self.per_type}
+        entries = self.problem.entries
+        return tuple(value[mask] for count, mask in entries for _ in range(count))
 
     def __getitem__(self, i: int) -> Fraction:
         return self.U[i]
 
+    def __repr__(self) -> str:
+        return f"UtilityProfile(U={self.U!r})"
+
     def total(self) -> Fraction:
-        return sum(self.U, Fraction(0))
+        """Sum of count times value per type, over the values' lcm."""
+        numerators, denominator = lp._over_lcm(self.values)
+        counts = (c for c, _ in self.problem.types)
+        return Fraction(sum(c * x for c, x in zip(counts, numerators)), denominator)
 
 
 @dataclass(frozen=True)
@@ -359,12 +378,10 @@ def format_mixture(z: Mixture) -> str:
 
 
 def utilities(P: Problem, z: Mixture) -> UtilityProfile:
-    """Exact utilities ``U_i = u_i . z``: one ``weight_on`` per type, looked up
-    per agent."""
+    """Exact utilities ``U_i = u_i . z``: one ``weight_on`` per type."""
     if z.m != P.m:
         raise ValueError(f"dimension mismatch: problem has m={P.m}, mixture m={z.m}")
-    value = {mask: z.weight_on(mask) for _, mask in P.types}
-    return UtilityProfile(tuple(map(value.__getitem__, P.masks)))
+    return UtilityProfile(P, tuple(z.weight_on(mask) for _, mask in P.types))
 
 
 def undominated_outcomes(P: Problem) -> set:
@@ -379,19 +396,8 @@ def undominated_outcomes(P: Problem) -> set:
 
 
 def require_profile_size(P: Problem, U: UtilityProfile) -> None:
-    if U.n != P.n:
-        raise ValueError("utility profile size differs from agent count")
-
-
-def _type_floors(P: Problem, U: UtilityProfile) -> list:
-    """One (count, like-mask, largest U_i) triple per type, in ``P.types`` order.
-
-    Agents sharing a like-set get the same utility from any mixture, so the
-    largest of their ``U_i`` is the one floor that binds for all of them.
-    """
-    return [
-        (len(agents), mask, max(U[i] for i in agents)) for mask, agents in P.clone_classes
-    ]
+    if U.problem != P:
+        raise ValueError("utility profile belongs to another problem")
 
 
 def surplus_lp(m: int, floors, scale=1) -> lp.LpOutcome:
@@ -423,7 +429,7 @@ def is_efficient(
     require_profile_size(P, U)
     if source is not None and utilities(P, source) != U:
         raise ValueError("source mixture does not realize the supplied utilities")
-    out = surplus_lp(P.m, _type_floors(P, U))
+    out = surplus_lp(P.m, U.per_type)
     if out.status == "infeasible":
         raise ValueError("utility profile is not feasible for this problem")
     base = U.total()
@@ -451,14 +457,13 @@ def epsilon_inefficiency(P: Problem, U: UtilityProfile) -> Fraction:
     is further inside the feasible set.
     """
     require_profile_size(P, U)
-    if all(x == 0 for x in U.U):
+    if all(x == 0 for x in U.values):
         raise ValueError("at least one utility must be positive")
 
-    # variables z'_0..z'_{m-1}, t >= 0: maximize t s.t. u_i . z' - t * U_i >= 0,
-    # one row per type at its largest U_i
+    # variables z'_0..z'_{m-1}, t >= 0: maximize t s.t. mask . z' >= t * U_t per type
     constraints = [
         (tuple(mask >> a & 1 for a in range(P.m)) + (-floor,), lp.GE, 0)
-        for _, mask, floor in _type_floors(P, U)
+        for _, mask, floor in U.per_type
     ]
     constraints.append(((1,) * P.m + (0,), lp.EQ, 1))
     prog = lp.LinearProgram(objective=(0,) * P.m + (1,), constraints=tuple(constraints))

@@ -54,8 +54,8 @@ def test_ifs_util_fails_on_ex3():
 
 def test_ifs_single_agent():
     P = Problem.from_rows(((1, 0),))
-    assert check_ifs(P, UtilityProfile((F(1),))).passed is True
-    assert check_ifs(P, UtilityProfile((F(1, 2),))).passed is False
+    assert check_ifs(P, UtilityProfile(P, (F(1),))).passed is True
+    assert check_ifs(P, UtilityProfile(P, (F(1, 2),))).passed is False
 
 
 # ---------------------------------------------------------------- UFS
@@ -82,8 +82,24 @@ def test_ufs_egal_fails_with_clones():
 
 def test_ufs_all_identical():
     P = Problem.from_rows(((1, 0), (1, 0)))
-    assert check_ufs(P, UtilityProfile((F(1), F(1)))).passed is True
-    assert check_ufs(P, UtilityProfile((F(1), F(9, 10)))).passed is False
+    assert check_ufs(P, UtilityProfile(P, (F(1),))).passed is True
+    assert check_ufs(P, UtilityProfile(P, (F(9, 10),))).passed is False
+
+
+def test_ifs_and_ufs_name_the_first_agent_of_a_split_clone_class():
+    # rows A, B, A: agents 0 and 2 are clones, one type listed in two runs
+    P = Problem.from_rows(((1, 0), (0, 1), (1, 0)))
+    U = UtilityProfile(P, (F(1, 2), F(1, 2)))
+    assert U.U == (F(1, 2),) * 3
+    assert check_ifs(P, U).passed is True
+    ufs = check_ufs(P, U)
+    assert ufs.passed is False
+    assert ufs.witness == {"agent": 0, "clone_class": (0, 2), "utility": F(1, 2),
+                           "required": F(2, 3)}
+    U = UtilityProfile(P, (F(1, 4), F(3, 4)))
+    assert check_ifs(P, U).witness == {"agent": 0, "utility": F(1, 4),
+                                       "required": F(1, 3)}
+    assert check_ufs(P, U).witness["agent"] == 0
 
 
 # ---------------------------------------------------------------- GFS
@@ -133,7 +149,7 @@ def test_afs_nmp_target_on_afs_example():
 
 def test_afs_passes_on_cfs_example_profile():
     P = generators.fixture("cfs-example")
-    U = UtilityProfile((F(7, 20), F(7, 10), F(7, 20), F(3, 10)))
+    U = UtilityProfile(P, (F(7, 20), F(7, 10), F(7, 20), F(3, 10)))
     assert check_afs(P, U).passed is True
 
 
@@ -141,8 +157,8 @@ def test_afs_reduces_to_ifs_when_no_common_outcomes():
     # disjoint singleton like-sets: only singleton coalitions share an
     # outcome, so AFS == IFS
     P = Problem.from_rows(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    good = UtilityProfile((F(1, 3), F(1, 3), F(1, 3)))
-    bad = UtilityProfile((F(1, 4), F(1, 4), F(1, 2)))
+    good = UtilityProfile(P, (F(1, 3), F(1, 3), F(1, 3)))
+    bad = UtilityProfile(P, (F(1, 4), F(1, 4), F(1, 2)))
     assert check_afs(P, good).passed is True
     assert check_afs(P, bad).passed is check_ifs(P, bad).passed is False
 
@@ -152,7 +168,7 @@ def test_afs_reduces_to_ifs_when_no_common_outcomes():
 
 def test_cfs_fails_on_cfs_example():
     P = generators.fixture("cfs-example")
-    U = UtilityProfile((F(7, 20), F(7, 10), F(7, 20), F(3, 10)))
+    U = UtilityProfile(P, (F(7, 20), F(7, 10), F(7, 20), F(3, 10)))
     verdict = check_cfs(P, U)
     assert verdict.passed is False
     assert verdict.witness["coalition"] == (0, 1, 2)
@@ -205,19 +221,19 @@ def test_coalition_checkers_accept_many_clones():
     assert check_cfs(P, U).witness["coalition"] == tuple(range(30))
 
 
-def test_cfs_refuses_unequal_clone_utilities():
-    P = Problem.from_rows(((1, 0), (1, 0), (0, 1)))
-    with pytest.raises(ValueError, match="clones"):
-        check_cfs(P, UtilityProfile((F(1, 2), F(1, 3), F(1, 2))))
-
-
-@pytest.mark.parametrize("size", [1, 3])
-def test_share_checkers_refuse_profile_of_wrong_size(size):
+@pytest.mark.parametrize("rows", [
+    ((1, 0),), ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 0)),
+], ids=["1", "3", "swapped"])
+def test_share_checkers_refuse_profile_of_another_problem(rows):
     P = Problem.from_rows(((1, 0), (0, 1)))
-    U = UtilityProfile((F(1, 2),) * size)
-    for check in (check_ifs, check_ufs, check_afs, check_cfs):
-        with pytest.raises(ValueError, match="differs from agent count"):
+    z = Mixture((F(1, 2), F(1, 2)))
+    U = utilities(Problem.from_rows(rows), z)
+    for check in (check_ifs, check_ufs, check_afs, check_cfs,
+                  core.is_efficient, core.epsilon_inefficiency):
+        with pytest.raises(ValueError, match="another problem"):
             check(P, U)
+    with pytest.raises(ValueError, match="does not realize"):
+        check_gfs(P, U, z)
 
 
 # three agents, each liking only its own outcome: agent 0 misses its share
@@ -356,7 +372,7 @@ def test_coalition_checkers_match_agent_walk_oracle(P, weights, quarters):
             assert _clone_closed(P, S)
             assert all(g >= U[i] for g, i in zip(got, S))
             assert cfs.witness["surplus"] == sum(got) - sum(U[i] for i in S) > 0
-    U = UtilityProfile(tuple(F(q, 4) for q in quarters[:P.n]))
+    U = UtilityProfile(P, tuple(F(q, 4) for q in quarters[:len(P.types)]))
     _assert_afs_matches_oracle(P, U, _oracle_verdicts(P, U, None)[1])
 
 

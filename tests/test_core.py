@@ -89,9 +89,19 @@ def test_mixture_keeps_its_fraction_coordinates():
 
 
 def test_utility_profile_range():
-    with pytest.raises(ValueError):
-        UtilityProfile((F(3, 2),))
-    assert UtilityProfile((F(1), F(0))).total() == 1
+    P = Problem.from_rows(((1, 0), (0, 1)))
+    with pytest.raises(ValueError, match="lie in"):
+        UtilityProfile(P, (F(3, 2), F(0)))
+    assert UtilityProfile(P, (F(1), F(0))).total() == 1
+
+
+def test_utility_profile_refuses_wrong_value_count():
+    # rows A, B, A: three agents, two types
+    P = Problem.from_rows(((1, 0), (0, 1), (1, 0)))
+    for count in (1, 3):
+        with pytest.raises(ValueError, match="one value per agent type"):
+            UtilityProfile(P, (F(1, 2),) * count)
+    assert UtilityProfile(P, (F(1, 4), F(1, 2))).U == (F(1, 4), F(1, 2), F(1, 4))
 
 
 def test_typed_profile_expansion_order_stable():
@@ -391,14 +401,14 @@ def test_is_efficient_ex5_half_half():
 def test_is_efficient_rejects_infeasible_profile():
     P = generators.fixture("egal-true")
     with pytest.raises(ValueError):
-        is_efficient(P, UtilityProfile((F(1), F(1), F(1))))
+        is_efficient(P, UtilityProfile(P, (F(1), F(1), F(1))))
 
 
 def test_is_efficient_rejects_lying_source():
     P = generators.fixture("egal-true")
     z = Mixture((F(1), F(0), F(0)))
     with pytest.raises(ValueError):
-        is_efficient(P, UtilityProfile((F(1), F(1), F(0))), source=z)
+        is_efficient(P, UtilityProfile(P, (F(1), F(1), F(0))), source=z)
 
 
 # ---------------------------------------------------------------- epsilon
@@ -415,7 +425,7 @@ def test_epsilon_scaling():
     P = generators.fixture("ex5")
     z = Mixture((F(0), F(0), F(0), F(1, 2), F(1, 2)))
     U = utilities(P, z)
-    half = UtilityProfile(tuple(x / 2 for x in U.U))
+    half = UtilityProfile(P, tuple(x / 2 for x in U.values))
     eps = epsilon_inefficiency(P, half)
     assert abs(eps - F(1, 2)) <= core.DEFAULT_EPSILON_TOL
 
@@ -458,8 +468,8 @@ def test_epsilon_matches_bisection():
         P = random_problem(rng, max_n=5, max_m=4)
         z = _random_mixture(rng, P.m)
         scale = F(rng.randint(1, 12), 12)
-        U = UtilityProfile(tuple(x * scale for x in utilities(P, z).U))
-        if all(x == 0 for x in U.U):
+        U = UtilityProfile(P, tuple(x * scale for x in utilities(P, z).values))
+        if all(x == 0 for x in U.values):
             continue
         tol = core.DEFAULT_EPSILON_TOL
         assert epsilon_inefficiency(P, U) == _epsilon_bisection(P, U, tol)
@@ -468,7 +478,7 @@ def test_epsilon_matches_bisection():
 def test_epsilon_rejects_all_zero():
     P = generators.fixture("egal-true")
     with pytest.raises(ValueError):
-        epsilon_inefficiency(P, UtilityProfile((F(0), F(0), F(0))))
+        epsilon_inefficiency(P, UtilityProfile(P, (F(0), F(0), F(0))))
 
 
 # ---------------------------------------------------------------- intervals

@@ -536,7 +536,23 @@ def _typed_with_mixture(draw):
 def test_utilities_match_the_per_agent_rows(case):
     T, z = case
     rows = [sum((x for x, bit in zip(z.z, row) if bit), F(0)) for row in T.u]
-    assert utilities(T, z).U == tuple(rows)
+    U = utilities(T, z)
+    assert U.U == tuple(rows)
+    assert [U[i] for i in range(T.n)] == rows
+    assert U.total() == sum(rows, F(0))
+
+
+@pytest.mark.parametrize("misreport", [False, True])
+def test_exact_rules_on_sp0_expand_no_agents(misreport):
+    # 1,227,856 agents of 9 types: neither the rule nor the total builds a
+    # per-agent view, of the problem or of the profile
+    P = generators.appendix_sp0()[misreport]
+    evaluate.cache_clear()  # a memo hit could return a profile viewed before
+    for rule in (UTIL, CUT, RP, EGAL):
+        U, _ = evaluate(rule, P)
+        U.total()
+        assert "masks" not in vars(P)
+        assert "U" not in vars(U)
 
 
 def _kkt_oracle(P, z):

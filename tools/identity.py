@@ -16,8 +16,10 @@ It prints the record count and the sha256.  The corpus:
   ``check_sp`` variants, plain and strict participation, IFS, UFS, GFS, AFS,
   CFS, ``is_efficient(source=z)``, ``check_dec`` (or its error text), and
   the epsilon-inefficiency under RP and CUT.
-- The six appendix profiles' ``types``, ``n`` and ``format_typed_profile``,
-  and ``kkt_residual`` at ``nmp_rule``'s mixture for the four small ones.
+- The six appendix profiles' ``types``, ``n`` and ``format_typed_profile``;
+  under UTIL, CUT, RP and EGAL, the mixture, ``total()`` and the utility of
+  each run's first agent; and ``kkt_residual`` at ``nmp_rule``'s mixture for
+  the four small ones.
 - Stdout and exit code of ``verify-appendix``; ``construct`` for sp0 with
   and without ``--misreport``, for appendix36 with ``--misreport`` and for
   appendix860; and ``solve --rule egal --fixture appendix36-misreport``.
@@ -180,6 +182,13 @@ def records():
             yield key + ("types",), T.types
             yield key + ("n",), T.n
             yield key + ("format",), core.format_typed_profile(T)
+            firsts = [0]  # each run's first agent
+            for count, _ in T.entries[:-1]:
+                firsts.append(firsts[-1] + count)
+            for rule in EXACT:
+                U, z = rules.evaluate(rule, T)
+                runs = [U[i] for i in firsts]
+                yield key + ("evaluate", str(rule)), (z, U.total(), runs)
             if family != "sp0":
                 yield key + ("kkt",), rules.kkt_residual(T, rules.nmp_rule(T).z)
     for argv in (

@@ -102,6 +102,18 @@ MUTANTS = [
      "Fraction(self.numerator_on(mask), self.denominator)",
      "Fraction(self.numerator_on(mask), self.z[-1].denominator)",
      "tests/test_rules.py::test_utilities_match_the_per_agent_rows"),
+    # UtilityProfile.U: the type values read in ascending mask order, not in
+    # the types' order of first appearance
+    ("src/fairmix/core.py",
+     "value = {mask: x for _, mask, x in self.per_type}\n        entries",
+     "value = dict(zip(sorted(m for _, m in self.problem.types), self.values))\n"
+     "        entries",
+     "tests/test_rules.py::test_utilities_match_the_per_agent_rows"),
+    # UtilityProfile.total: one agent per type
+    ("src/fairmix/core.py",
+     "sum(c * x for c, x in zip(counts, numerators))",
+     "sum(numerators)",
+     "tests/test_rules.py::test_utilities_match_the_per_agent_rows"),
     # kkt_residual: the class gradients without the mixture's denominator
     ("src/fairmix/rules.py",
      "gap = den * sum(",
@@ -134,9 +146,14 @@ MUTANTS = [
      "tests/test_rules.py::test_hrule_newton_on_electorate"),
     # IFS: an agent exactly at 1/n fails
     ("src/fairmix/axioms.py",
-     "    for i in range(P.n):\n        if U[i] < share:",
-     "    for i in range(P.n):\n        if U[i] <= share:",
+     'if x < share:\n            yield share - x, {"agent": members[0], "utility"',
+     'if x <= share:\n            yield share - x, {"agent": members[0], "utility"',
      "tests/test_axioms.py::test_ifs_egal_always_passes"),
+    # IFS: a miss names its clone class's last agent, not its first
+    ("src/fairmix/axioms.py",
+     '{"agent": members[0], "utility"',
+     '{"agent": members[-1], "utility"',
+     "tests/test_axioms.py::test_ifs_and_ufs_name_the_first_agent_of_a_split_clone_class"),
     # UFS: the share counts 1 instead of the clone class
     ("src/fairmix/axioms.py",
      "share = Fraction(len(members), P.n)",
